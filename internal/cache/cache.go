@@ -7,27 +7,27 @@
 // misses and updates recency; the machine layer translates outcomes into
 // cycles. All replacement decisions are deterministic (true LRU), so a
 // simulation with a fixed seed is bit-for-bit reproducible.
+//
+// A set is stored as its resident tags alone, ordered from most to least
+// recently used, so recency needs no per-entry timestamp: the position of
+// a tag is its age rank.
 package cache
-
-// way is one cache entry. A zero stamp marks the way invalid: stamps are
-// assigned from the tick counter after it is incremented, so a resident
-// entry always carries a stamp >= 1. Keeping tag and stamp adjacent (one
-// struct array instead of three parallel slices) is what makes the lookup
-// scan walk one contiguous region per set — the simulator's single hottest
-// loop.
-type way struct {
-	tag   uint64
-	stamp uint64
-}
 
 // Cache is a set-associative cache with true LRU replacement. Capacity is
 // expressed in entries (lines for a data cache, translations for a TLB);
 // the caller decides what a tag means.
+//
+// Each set is ways consecutive slots ordered from most to least recently
+// used, and empty slots always come after resident ones. A slot holds
+// tag+1, so the zero value marks an empty way and tag 0 (the first line or
+// page of the address space) stays valid; any tag but ^uint64(0) is. A
+// lookup walks the set from the front, so a hit on a recently used tag
+// reads only the first host cache line of its set, and the walk stops at
+// the first empty slot.
 type Cache struct {
 	ways     int
 	setMask  uint64
-	entries  []way
-	tick     uint64
+	slots    []uint64
 	accesses uint64
 	misses   uint64
 }
@@ -50,113 +50,93 @@ func New(entries, ways int) *Cache {
 	return &Cache{
 		ways:    ways,
 		setMask: uint64(sets - 1),
-		entries: make([]way, sets*ways),
+		slots:   make([]uint64, sets*ways),
 	}
 }
 
 // Entries returns the effective capacity in entries.
-func (c *Cache) Entries() int { return len(c.entries) }
+func (c *Cache) Entries() int { return len(c.slots) }
+
+// set returns the slots of the set tag maps to.
+func (c *Cache) set(tag uint64) []uint64 {
+	i := int(tag&c.setMask) * c.ways
+	return c.slots[i : i+c.ways : i+c.ways]
+}
 
 // Access looks up tag, inserting it (with LRU eviction) on a miss, and
-// reports whether the lookup hit.
+// reports whether the lookup hit. Either way tag ends up in the set's
+// first slot.
 //
-// Victim selection: invalid ways carry stamp 0 and therefore lose every
-// comparison against resident stamps (>= 1), so the first invalid way wins;
-// with all ways resident the minimum stamp (true LRU, first index on the
-// impossible tie — stamps are unique) is evicted. This is decision-for-
-// decision identical to scanning validity and recency separately.
+// The walk carries one tag down the set: each slot takes the tag in hand
+// and hands on the one it held. It stops where it hands on tag itself (a
+// hit, moved to the front), an empty slot (a miss filling the first free
+// way), or past the last slot (a miss evicting the least recently used
+// tag). These are the decisions of a timestamp-based true LRU.
 func (c *Cache) Access(tag uint64) bool {
-	c.tick++
 	c.accesses++
-	set := int(tag&c.setMask) * c.ways
-	w := c.entries[set : set+c.ways]
-	victim := 0
-	victimStamp := ^uint64(0)
-	for i := range w {
-		e := &w[i]
-		if e.stamp != 0 && e.tag == tag {
-			e.stamp = c.tick
+	key := tag + 1
+	s := c.set(tag)
+	in := key
+	for i, out := range s {
+		s[i] = in
+		if out == key {
 			return true
 		}
-		if e.stamp < victimStamp {
-			victim, victimStamp = i, e.stamp
+		if out == 0 {
+			break
 		}
+		in = out
 	}
 	c.misses++
-	w[victim] = way{tag: tag, stamp: c.tick}
 	return false
 }
 
-// AccessIndexed performs Access(tag) and additionally returns the absolute
-// entry index now holding tag, so an immediately following re-access of the
-// same tag can use Repeat instead of rescanning the set.
-func (c *Cache) AccessIndexed(tag uint64) (hit bool, idx int) {
-	c.tick++
-	c.accesses++
-	set := int(tag&c.setMask) * c.ways
-	w := c.entries[set : set+c.ways]
-	victim := 0
-	victimStamp := ^uint64(0)
-	for i := range w {
-		e := &w[i]
-		if e.stamp != 0 && e.tag == tag {
-			e.stamp = c.tick
-			return true, set + i
-		}
-		if e.stamp < victimStamp {
-			victim, victimStamp = i, e.stamp
-		}
-	}
-	c.misses++
-	w[victim] = way{tag: tag, stamp: c.tick}
-	return false, set + victim
-}
-
-// Repeat re-touches the entry at idx: state-identical to Access(tag)
-// hitting that entry. The caller must guarantee that idx came from an
-// AccessIndexed for the same tag with no intervening operations on this
-// cache that could have evicted or moved the entry (the machine layer's
-// batched access path guarantees this by invalidating its handles at every
-// yield point).
-func (c *Cache) Repeat(idx int) {
-	c.tick++
-	c.accesses++
-	c.entries[idx].stamp = c.tick
-}
+// Repeat counts a re-access of the tag the caller's previous Access on
+// this cache looked up: that tag is already most recently used, so the
+// lookup hits and changes no recency. The caller must guarantee that no
+// operation on this cache came in between (the machine layer's batched
+// access path drops its cached handles at every yield point).
+func (c *Cache) Repeat() { c.accesses++ }
 
 // Contains reports whether tag is resident without updating recency or
 // counters.
 func (c *Cache) Contains(tag uint64) bool {
-	set := int(tag&c.setMask) * c.ways
-	for i := set; i < set+c.ways; i++ {
-		e := &c.entries[i]
-		if e.stamp != 0 && e.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, i := c.find(tag)
+	return i >= 0
 }
 
 // Invalidate removes tag if present, reporting whether it was resident.
+// The less recently used tags behind it move up one slot, so the freed
+// way joins the empty ones at the end of the set.
 func (c *Cache) Invalidate(tag uint64) bool {
-	set := int(tag&c.setMask) * c.ways
-	for i := set; i < set+c.ways; i++ {
-		e := &c.entries[i]
-		if e.stamp != 0 && e.tag == tag {
-			e.stamp = 0
-			return true
+	s, i := c.find(tag)
+	if i < 0 {
+		return false
+	}
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = 0
+	return true
+}
+
+// find returns the set tag maps to and tag's slot in it, or -1 if tag is
+// not resident.
+func (c *Cache) find(tag uint64) ([]uint64, int) {
+	key := tag + 1
+	s := c.set(tag)
+	for i, v := range s {
+		if v == key {
+			return s, i
+		}
+		if v == 0 {
+			break
 		}
 	}
-	return false
+	return s, -1
 }
 
 // Flush invalidates every entry (used when a thread migrates and loses its
 // core-private state).
-func (c *Cache) Flush() {
-	for i := range c.entries {
-		c.entries[i].stamp = 0
-	}
-}
+func (c *Cache) Flush() { clear(c.slots) }
 
 // Stats returns the cumulative access and miss counts.
 func (c *Cache) Stats() (accesses, misses uint64) { return c.accesses, c.misses }

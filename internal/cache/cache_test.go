@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func TestHitAfterInsert(t *testing.T) {
@@ -146,41 +150,36 @@ func TestDegenerateConfigs(t *testing.T) {
 	}
 }
 
-// TestAccessIndexedEquivalence: an AccessIndexed-driven cache must evolve
-// exactly like an Access-driven one over the same tag sequence, and the
-// returned index must always point at the entry now holding the tag.
-func TestAccessIndexedEquivalence(t *testing.T) {
-	a, b := New(64, 4), New(64, 4)
+// TestAccessLeavesTagMRU: a cache must evolve exactly like the reference
+// model over the same tag sequence, and every Access must leave its tag in
+// the first slot of its set, where Repeat relies on finding it.
+func TestAccessLeavesTagMRU(t *testing.T) {
+	a, ref := New(64, 4), newRefCache(64, 4)
 	f := func(tags []uint64) bool {
 		for _, tag := range tags {
-			hitA := a.Access(tag)
-			hitB, idx := b.AccessIndexed(tag)
-			if hitA != hitB {
-				return false
-			}
-			if b.entries[idx].tag != tag || b.entries[idx].stamp == 0 {
+			if a.Access(tag) != ref.Access(tag) || a.set(tag)[0] != tag+1 {
 				return false
 			}
 		}
-		accA, missA := a.Stats()
-		accB, missB := b.Stats()
-		return accA == accB && missA == missB
+		acc, miss := a.Stats()
+		refAcc, refMiss := ref.Stats()
+		return acc == refAcc && miss == refMiss
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestRepeatMatchesAccessHit: Repeat on an index from AccessIndexed must
-// leave the cache in the same state as a hitting Access on the same tag.
+// TestRepeatMatchesAccessHit: Repeat right after an Access of the same tag
+// must leave the cache in the same state as a second hitting Access.
 func TestRepeatMatchesAccessHit(t *testing.T) {
 	a, b := New(16, 2), New(16, 2)
 	a.Access(9)
 	b.Access(9)
 	a.Access(9)
-	_, idx := b.AccessIndexed(9)
+	b.Access(9)
 	a.Access(9) // third touch via full lookup...
-	b.Repeat(idx)
+	b.Repeat()
 	// ...must equal the third touch via Repeat: same stats and same
 	// eviction behaviour afterwards.
 	accA, missA := a.Stats()
@@ -201,11 +200,10 @@ func TestRepeatMatchesAccessHit(t *testing.T) {
 
 func TestRepeatAfterMissInsert(t *testing.T) {
 	c := New(16, 2)
-	hit, idx := c.AccessIndexed(3)
-	if hit {
+	if c.Access(3) {
 		t.Fatal("cold cache must miss")
 	}
-	c.Repeat(idx) // re-touch the freshly inserted entry
+	c.Repeat() // re-touch the freshly inserted entry
 	acc, miss := c.Stats()
 	if acc != 2 || miss != 1 {
 		t.Fatalf("stats = %d/%d, want 2 accesses 1 miss", acc, miss)
@@ -282,13 +280,12 @@ func TestTLBStats(t *testing.T) {
 	}
 }
 
-func TestTLBRefRepeat(t *testing.T) {
+func TestTLBRepeat(t *testing.T) {
 	tlb := NewTLB(16, 8, 2)
-	hit, ref := tlb.AccessIndexed(5, false)
-	if hit {
+	if tlb.Access(5, false) {
 		t.Fatal("cold lookup must miss")
 	}
-	if !ref.Repeat() {
+	if !tlb.Repeat(false) {
 		t.Fatal("repeat of a small-page translation must hit")
 	}
 	acc, miss := tlb.Stats()
@@ -296,20 +293,19 @@ func TestTLBRefRepeat(t *testing.T) {
 		t.Fatalf("stats = %d/%d, want 2 accesses 1 miss", acc, miss)
 	}
 	// Huge translation through the 2MiB array.
-	_, href := tlb.AccessIndexed(512*2, true)
-	if !href.Repeat() {
+	tlb.Access(512*2, true)
+	if !tlb.Repeat(true) {
 		t.Fatal("repeat of a huge translation must hit when the array exists")
 	}
 }
 
-func TestTLBRefNoHugeArray(t *testing.T) {
+func TestTLBRepeatNoHugeArray(t *testing.T) {
 	tlb := NewTLB(16, 0, 2)
-	hit, ref := tlb.AccessIndexed(512*2, true)
-	if hit {
+	if tlb.Access(512*2, true) {
 		t.Fatal("huge lookup without a 2MiB array must miss")
 	}
-	if ref.Repeat() {
-		t.Fatal("zero ref must keep missing, like Access")
+	if tlb.Repeat(true) {
+		t.Fatal("repeat without a 2MiB array must keep missing, like Access")
 	}
 	// The always-miss path must not touch any counters, matching Access's
 	// early return.
@@ -317,4 +313,280 @@ func TestTLBRefNoHugeArray(t *testing.T) {
 	if acc != 0 || miss != 0 {
 		t.Fatalf("stats = %d/%d, want untouched (0/0)", acc, miss)
 	}
+}
+
+// refWay and refCache are a timestamp-based true-LRU cache, the reference
+// model Cache must match decision for decision. A zero stamp marks the
+// way invalid: stamps are assigned from the tick counter after it is
+// incremented, so a resident entry always carries a stamp >= 1.
+type refWay struct {
+	tag   uint64
+	stamp uint64
+}
+
+type refCache struct {
+	ways     int
+	setMask  uint64
+	entries  []refWay
+	tick     uint64
+	accesses uint64
+	misses   uint64
+}
+
+func newRefCache(entries, ways int) *refCache {
+	if ways < 1 {
+		ways = 1
+	}
+	if entries < ways {
+		entries = ways
+	}
+	sets := 1
+	for sets*ways < entries {
+		sets <<= 1
+	}
+	return &refCache{
+		ways:    ways,
+		setMask: uint64(sets - 1),
+		entries: make([]refWay, sets*ways),
+	}
+}
+
+func (c *refCache) Entries() int { return len(c.entries) }
+
+// Access: invalid ways carry stamp 0 and therefore lose every comparison
+// against resident stamps (>= 1), so the first invalid way is the victim;
+// with all ways resident the minimum stamp (true LRU) is evicted.
+func (c *refCache) Access(tag uint64) bool {
+	hit, _ := c.AccessIndexed(tag)
+	return hit
+}
+
+// AccessIndexed performs Access(tag) and also returns the absolute entry
+// index now holding tag, for Repeat.
+func (c *refCache) AccessIndexed(tag uint64) (hit bool, idx int) {
+	c.tick++
+	c.accesses++
+	set := int(tag&c.setMask) * c.ways
+	w := c.entries[set : set+c.ways]
+	victim := 0
+	victimStamp := ^uint64(0)
+	for i := range w {
+		e := &w[i]
+		if e.stamp != 0 && e.tag == tag {
+			e.stamp = c.tick
+			return true, set + i
+		}
+		if e.stamp < victimStamp {
+			victim, victimStamp = i, e.stamp
+		}
+	}
+	c.misses++
+	w[victim] = refWay{tag: tag, stamp: c.tick}
+	return false, set + victim
+}
+
+// Repeat re-touches the entry at idx: state-identical to Access(tag)
+// hitting that entry.
+func (c *refCache) Repeat(idx int) {
+	c.tick++
+	c.accesses++
+	c.entries[idx].stamp = c.tick
+}
+
+func (c *refCache) Contains(tag uint64) bool {
+	set := int(tag&c.setMask) * c.ways
+	for i := set; i < set+c.ways; i++ {
+		e := &c.entries[i]
+		if e.stamp != 0 && e.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Invalidate(tag uint64) bool {
+	set := int(tag&c.setMask) * c.ways
+	for i := set; i < set+c.ways; i++ {
+		e := &c.entries[i]
+		if e.stamp != 0 && e.tag == tag {
+			e.stamp = 0
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Flush() {
+	for i := range c.entries {
+		c.entries[i].stamp = 0
+	}
+}
+
+func (c *refCache) Stats() (accesses, misses uint64) { return c.accesses, c.misses }
+
+// order returns the resident tags of tag's set from most to least
+// recently used.
+func (c *refCache) order(tag uint64) []uint64 {
+	set := int(tag&c.setMask) * c.ways
+	var live []refWay
+	for _, e := range c.entries[set : set+c.ways] {
+		if e.stamp != 0 {
+			live = append(live, e)
+		}
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].stamp > live[j].stamp })
+	tags := make([]uint64, len(live))
+	for i, e := range live {
+		tags[i] = e.tag
+	}
+	return tags
+}
+
+// order returns the resident tags of tag's set in slot order, and false if
+// a resident slot follows an empty one.
+func (c *Cache) order(tag uint64) ([]uint64, bool) {
+	s := c.set(tag)
+	n := 0
+	for n < len(s) && s[n] != 0 {
+		n++
+	}
+	for _, v := range s[n:] {
+		if v != 0 {
+			return nil, false
+		}
+	}
+	tags := make([]uint64, n)
+	for i, v := range s[:n] {
+		tags[i] = v - 1
+	}
+	return tags, true
+}
+
+// maxTag is the largest tag a Cache accepts: a slot holds tag+1.
+const maxTag = ^uint64(0) - 1
+
+// fuzzGeometries are the (entries, ways) shapes FuzzCacheMatchesLRU
+// drives, from a single direct-mapped entry up to the LLC's 16 ways.
+var fuzzGeometries = [...][2]int{{1, 1}, {16, 2}, {64, 4}, {1024, 8}, {4096, 16}}
+
+// fuzzTag decodes one operation's tag. Bit 3 of op picks one of two sets:
+// set 0, which holds tag 0, or the set of maxTag. Values of a below 0xf0
+// name 24 low tags of that set, enough to overflow every geometry; 0xf0
+// and above name the 16 largest tags of maxTag's set, maxTag first.
+func fuzzTag(op, a byte, sets uint64) uint64 {
+	if a >= 0xf0 {
+		return maxTag - uint64(a-0xf0)*sets
+	}
+	set := uint64(0)
+	if op&8 != 0 {
+		set = maxTag & (sets - 1)
+	}
+	return set + uint64(a%24)*sets
+}
+
+// fuzzSeeds returns one scripted input per geometry plus a fixed random
+// one. A script fills both fuzzed sets past 16 ways, re-touches set 0 at
+// every recency depth, and mixes in Repeat, Invalidate (resident, absent,
+// tag 0, maxTag), Contains and Flush.
+func fuzzSeeds() [][]byte {
+	var seeds [][]byte
+	for g := range fuzzGeometries {
+		s := []byte{byte(g)}
+		op := func(o, a byte) { s = append(s, o, a) }
+		for a := byte(0); a < 20; a++ {
+			op(0, a)
+			op(8, a)
+		}
+		for a := byte(0xf0); a < 0xf8; a++ {
+			op(0, a)
+		}
+		for a := 19; a >= 0; a-- {
+			op(0, byte(a))
+		}
+		op(4, 0)
+		op(4, 0xf0)
+		op(4, 23)
+		for _, a := range []byte{10, 0, 0xf0, 23, 22} {
+			op(5, a)
+		}
+		for _, a := range []byte{0, 1, 0xf0, 0xf1, 10} {
+			op(6, a)
+		}
+		op(0, 5)
+		op(8, 6)
+		op(0, 0xf0)
+		op(0xff, 0)
+		op(6, 0)
+		op(0, 0)
+		op(4, 0xf0)
+		seeds = append(seeds, s)
+	}
+	r := xrand.New(14)
+	s := make([]byte, 512)
+	for i := range s {
+		s[i] = byte(r.Uint64())
+	}
+	return append(seeds, s)
+}
+
+// FuzzCacheMatchesLRU drives a Cache and the reference model through the
+// same Access, Repeat-after-Access, Invalidate, Flush and Contains calls,
+// and requires identical results, Stats and recency order of both fuzzed
+// sets after every step. The first input byte picks a geometry; each
+// following byte pair (op, a) is one call on tag fuzzTag(op, a): op 0xff
+// is Flush, else op&7 selects 4 Repeat-after-Access, 5 Invalidate,
+// 6 Contains and any other value Access.
+func FuzzCacheMatchesLRU(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := fuzzGeometries[int(data[0])%len(fuzzGeometries)]
+		c, ref := New(g[0], g[1]), newRefCache(g[0], g[1])
+		if c.Entries() != ref.Entries() {
+			t.Fatalf("entries %d, reference %d", c.Entries(), ref.Entries())
+		}
+		sets := uint64(c.Entries() / g[1])
+		for i := 1; i+1 < len(data); i += 2 {
+			op, tag := data[i], fuzzTag(data[i], data[i+1], sets)
+			var got, want bool
+			switch {
+			case op == 0xff:
+				c.Flush()
+				ref.Flush()
+			case op&7 == 4:
+				var idx int
+				got = c.Access(tag)
+				want, idx = ref.AccessIndexed(tag)
+				c.Repeat()
+				ref.Repeat(idx)
+			case op&7 == 5:
+				got, want = c.Invalidate(tag), ref.Invalidate(tag)
+			case op&7 == 6:
+				got, want = c.Contains(tag), ref.Contains(tag)
+			default:
+				got, want = c.Access(tag), ref.Access(tag)
+			}
+			if got != want {
+				t.Fatalf("step %d: op %#x tag %#x returned %v, reference %v", i/2, op, tag, got, want)
+			}
+			acc, miss := c.Stats()
+			refAcc, refMiss := ref.Stats()
+			if acc != refAcc || miss != refMiss {
+				t.Fatalf("step %d: stats %d/%d, reference %d/%d", i/2, acc, miss, refAcc, refMiss)
+			}
+			for _, probe := range []uint64{0, maxTag} {
+				order, ok := c.order(probe)
+				if !ok {
+					t.Fatalf("step %d: empty slot before a resident one in set of %#x", i/2, probe)
+				}
+				if want := ref.order(probe); !slices.Equal(order, want) {
+					t.Fatalf("step %d: set of %#x holds %x, reference %x", i/2, probe, order, want)
+				}
+			}
+		}
+	})
 }

@@ -34,41 +34,21 @@ func (t *TLB) Access(vpn uint64, huge bool) bool {
 	return t.small.Access(vpn)
 }
 
-// TLBRef is a repeatable-translation handle returned by AccessIndexed: it
-// pins the cache array and entry index that served a lookup, so immediately
-// repeated lookups of the same translation (consecutive lines of one page)
-// can skip the set scan. A zero ref (nil cache) stands for the
-// "no 2MiB array" miss path, where repeats also miss without state changes.
-type TLBRef struct {
-	c   *Cache
-	idx int32
-}
-
-// Repeat re-touches the translation: state-identical to the Access call
-// that produced the ref hitting the same entry. It reports a hit; a zero
-// ref reports a miss (huge lookup with no huge array), matching Access.
-// Valid only while no other operation has touched the owning cache.
-func (r TLBRef) Repeat() bool {
-	if r.c == nil {
+// Repeat counts a re-lookup of the translation the previous Access with
+// the same huge flag looked up, with no operation on the TLB in between
+// (consecutive lines of one page). It is state-identical to that Access
+// hitting again and reports a hit, except for a huge lookup with no 2MiB
+// array, which misses without touching any counter, as Access does.
+func (t *TLB) Repeat(huge bool) bool {
+	if !huge {
+		t.small.Repeat()
+		return true
+	}
+	if t.huge == nil {
 		return false
 	}
-	r.c.Repeat(int(r.idx))
+	t.huge.Repeat()
 	return true
-}
-
-// AccessIndexed performs Access(vpn, huge) and returns a TLBRef for
-// repeated lookups of the same translation. After a miss the ref points at
-// the freshly inserted entry, so repeats are hits either way.
-func (t *TLB) AccessIndexed(vpn uint64, huge bool) (bool, TLBRef) {
-	if huge {
-		if t.huge == nil {
-			return false, TLBRef{}
-		}
-		hit, idx := t.huge.AccessIndexed(vpn >> 9)
-		return hit, TLBRef{c: t.huge, idx: int32(idx)}
-	}
-	hit, idx := t.small.AccessIndexed(vpn)
-	return hit, TLBRef{c: t.small, idx: int32(idx)}
 }
 
 // Flush drops all cached translations (context switch / migration).

@@ -349,7 +349,6 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 		haveF    bool
 		f        vmm.Fault
 		fLo, fHi uint64
-		ref      cache.TLBRef
 	)
 	// Line cache: when elem < lineSize consecutive elements land on the
 	// same line, which is then a guaranteed L1 re-hit (it was touched by
@@ -358,7 +357,6 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 	var (
 		haveLine bool
 		lastTag  uint64
-		lastIdx  int
 	)
 
 	for i := 0; i < count; i++ {
@@ -387,7 +385,7 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 				// the TLB entry was touched by the previous line, so the
 				// lookup re-hits — unless this is a huge translation with
 				// no 2MiB TLB array, where every line walks.
-				if !ref.Repeat() {
+				if !t.tlb.Repeat(f.Huge) {
 					t.counters.TLBMisses++
 					cost += p.WalkHugeCycles
 					walkC = p.WalkHugeCycles
@@ -413,9 +411,7 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 						faultC += p.THPFaultCycles
 					}
 				}
-				var hit bool
-				hit, ref = t.tlb.AccessIndexed(vpn, f.Huge)
-				if !hit {
+				if !t.tlb.Access(vpn, f.Huge) {
 					t.counters.TLBMisses++
 					if f.Huge {
 						cost += p.WalkHugeCycles
@@ -434,14 +430,12 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 				}
 			}
 			lineTag := a >> m.lineShift
-			l1Hit := false
+			l1Hit := true
 			if haveLine && lineTag == lastTag {
-				t.l1.Repeat(lastIdx)
-				l1Hit = true
+				t.l1.Repeat()
 			} else {
-				var idx int
-				l1Hit, idx = t.l1.AccessIndexed(lineTag)
-				haveLine, lastTag, lastIdx = true, lineTag, idx
+				l1Hit = t.l1.Access(lineTag)
+				haveLine, lastTag = true, lineTag
 			}
 			if l1Hit {
 				// L1 hit: the line is already owned or shared by this core.
