@@ -94,7 +94,6 @@ func main() {
 	var shared cli.Flags
 	shared.Register(flag.CommandLine)
 	flag.Parse()
-	shared.ApplyMachineFlags()
 
 	if done, err := shared.HandleValidate(os.Stdout); done {
 		if err != nil {

@@ -73,7 +73,6 @@ func main() {
 	var shared cli.Flags
 	shared.RegisterNoTrace(flag.CommandLine)
 	flag.Parse()
-	shared.ApplyMachineFlags()
 
 	if shared.Validate != "" {
 		n, err := cli.ValidateTuneJSONL(shared.Validate)

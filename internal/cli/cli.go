@@ -40,12 +40,6 @@ type Flags struct {
 	Validate   string // -validate: JSONL file to check, then exit
 	CPUProfile string // -cpuprofile: host pprof CPU profile path
 	MemProfile string // -memprofile: host pprof heap profile path
-
-	// MachineParallel is -machine-parallel: the host-core budget each
-	// simulated machine may use for its parallel-safe phases
-	// (machine.RunParallel). Simulation output is byte-identical at any
-	// value; only host wall time changes. Applied by ApplyMachineFlags.
-	MachineParallel int
 }
 
 // Register installs the shared flags on fs with identical names and help
@@ -60,23 +54,10 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 // whose artifacts carry no event stream (numatune: campaign records are
 // fully deterministic, and a trace would change nothing but file size).
 func (f *Flags) RegisterNoTrace(fs *flag.FlagSet) {
-	fs.IntVar(&f.MachineParallel, "machine-parallel", 1,
-		"host cores per simulated machine for node-parallel phases (0 = GOMAXPROCS); output is identical to -machine-parallel 1")
 	fs.StringVar(&f.JSON, "json", "", "append one JSONL record per cell to this file")
 	fs.StringVar(&f.Validate, "validate", "", "validate a JSONL results file against the schema and exit")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a host pprof CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a host pprof heap profile to this file")
-}
-
-// ApplyMachineFlags applies the flags that configure the simulator
-// process-globally. Call once after flag parsing, before any machine is
-// built.
-func (f *Flags) ApplyMachineFlags() {
-	n := f.MachineParallel
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	machine.SetDefaultHostParallelism(n)
 }
 
 // HandleValidate runs the -validate action when requested: it sniffs the

@@ -19,7 +19,7 @@ func TestFlagParity(t *testing.T) {
 	var f Flags
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f.Register(fs)
-	want := []string{"cpuprofile", "json", "machine-parallel", "memprofile", "spans", "trace", "validate"}
+	want := []string{"cpuprofile", "json", "memprofile", "spans", "trace", "validate"}
 	var got []string
 	fs.VisitAll(func(fl *flag.Flag) { got = append(got, fl.Name) })
 	if len(got) != len(want) {

@@ -104,7 +104,7 @@ func adaptRunCell(s Scale, letter, workload, config string, o AdaptOptions) (Ada
 	// across Runs, so a load that outlasted the phases would leave the
 	// placement daemon no window to fire in.
 	bases := make([]uint64, workers)
-	m.RunParallel(workers, func(t *machine.Thread) {
+	m.Run(workers, func(t *machine.Thread) {
 		w := t.ID()
 		bases[w] = t.Malloc(partBytes)
 		for p := uint64(0); p < partBytes; p += vmm.PageSize {
@@ -134,9 +134,8 @@ func adaptRunCell(s Scale, letter, workload, config string, o AdaptOptions) (Ada
 	phaseCycles := float64(partLines) * adaptPhaseCost
 	ops := make([]uint64, workers)
 	// adaptBody confines cross-worker interaction to the simulated memory
-	// API (bases is read-only during the phases; ops slots are per-worker),
-	// so the phase run is host-parallel safe.
-	res := m.RunParallel(workers, adaptBody(bases, partLines, phaseCycles, rot, ops))
+	// API: bases is read-only during the phases, ops slots are per-worker.
+	res := m.Run(workers, adaptBody(bases, partLines, phaseCycles, rot, ops))
 
 	cell := AdaptCell{
 		Machine:  m.Spec.Name,

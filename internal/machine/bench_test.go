@@ -105,3 +105,67 @@ func BenchmarkAccessPathWriteRun(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkLayer measures the round engine's host cost per simulated
+// operation on Machine A under the tuned configuration (sparse placement,
+// no daemons):
+//
+//	round     — one round of 16 threads that each charge one full quantum
+//	            (empty quanta: the cost is the handoffs and round boundary);
+//	            thread set-up is amortized over the Run
+//	coherence — 256 accesses by each of two threads on nodes 0 and 1, which
+//	            alternately write and read the same 4,096 lines; every
+//	            access misses L1, so it goes through coherencePenalty
+//	first-run — the first Run on a fresh machine, 16 threads charging once
+//
+// Run with a fixed iteration count, since simulated state depends on it:
+//
+//	go test ./internal/machine -run '^$' -bench BenchmarkLayer -benchtime 2000x
+func BenchmarkLayer(b *testing.B) {
+	b.Run("round", func(b *testing.B) {
+		m := NewA()
+		m.Configure(TunedConfig(16))
+		b.ReportAllocs()
+		b.ResetTimer()
+		m.Run(16, func(t *Thread) {
+			for i := 0; i < b.N; i++ {
+				t.Charge(m.P.Quantum)
+			}
+		})
+	})
+	b.Run("coherence", func(b *testing.B) {
+		const lines = 4096
+		m := NewA()
+		m.Configure(TunedConfig(2))
+		var base uint64
+		m.Run(1, func(t *Thread) {
+			base = t.Malloc(lines * 64)
+			t.WriteRun(base, 64, lines)
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		m.Run(2, func(t *Thread) {
+			for i := 0; i < b.N; i++ {
+				write := (i+t.ID())%2 == 0
+				for j := 0; j < 256; j++ {
+					a := base + uint64((i*256+j)%lines)*64
+					if write {
+						t.Write(a, 8)
+					} else {
+						t.Read(a, 8)
+					}
+				}
+			}
+		})
+	})
+	b.Run("first-run", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			m := NewA()
+			m.Configure(TunedConfig(16))
+			b.StartTimer()
+			m.Run(16, func(t *Thread) { t.Charge(1) })
+		}
+	})
+}

@@ -8,8 +8,10 @@
 // Workloads run as bodies over simulated Threads; every memory access walks
 // the TLB -> L1 -> LLC -> DRAM path and is charged cycles that reflect the
 // machine's NUMA latencies and the current memory-controller and
-// interconnect contention. A Run returns wall cycles (the slowest thread's
-// wall time) and the perf-counter profile the paper reports.
+// interconnect contention. Threads advance in deterministic rounds of one
+// quantum each, node group by node group, one quantum at a time on the
+// host. A Run returns wall cycles (the slowest thread's wall time) and the
+// perf-counter profile the paper reports.
 package machine
 
 import (
@@ -165,8 +167,12 @@ type Machine struct {
 	// direct-mapped table of (line-tag-check | writer node) entries used
 	// to charge cache-to-cache transfers when a thread touches a line
 	// another node wrote (false/true sharing through shared allocators
-	// and tables).
+	// and tables). dirMark stamps each entry with the sequence number of
+	// the last group turn that logged it; dirSeq is the current turn's
+	// (see round.go).
 	writerDir []uint32
+	dirMark   []uint32
+	dirSeq    uint32
 
 	// Access samples feeding the AutoNUMA daemon: vpn -> last accessor.
 	samples     map[uint64]sampleEntry
@@ -177,13 +183,10 @@ type Machine struct {
 	active  int // threads still running
 	current *Thread
 
-	// Round-based scheduler state (see lane.go): per-node effect lanes,
-	// the reusable group shells, and the host-core budget RunParallel may
-	// spend on concurrent node groups.
-	lanes     []*lane
+	// Round-based scheduler state (see round.go): one reusable group
+	// shell per node, and the current round's non-empty groups.
 	groupPool []*schedGroup
 	groups    []*schedGroup
-	hostPar   int
 
 	counters Counters
 	migRate  float64 // per-scheduling-event migration probability (PlaceNone)
@@ -247,39 +250,11 @@ func New(spec Spec) *Machine {
 	}
 	m.linkMult = 1
 	m.writerDir = make([]uint32, 1<<16)
+	m.dirMark = make([]uint32, len(m.writerDir))
 	m.samples = make(map[uint64]sampleEntry)
-	m.hostPar = defaultHostParallelism
 	m.Configure(DefaultConfig(spec.HardwareThreads()))
 	return m
 }
-
-// defaultHostParallelism seeds every new Machine's host-core budget for
-// RunParallel; CLIs set it once from -machine-parallel before building any
-// machines.
-var defaultHostParallelism = 1
-
-// SetDefaultHostParallelism sets the host parallelism newly built Machines
-// start with (the -machine-parallel flag). It must be called before the
-// machines it should affect are built; values below 1 clamp to 1 (serial).
-func SetDefaultHostParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultHostParallelism = n
-}
-
-// SetHostParallelism sets this machine's host-core budget for RunParallel.
-// Simulated results are byte-identical at any value; only host wall time
-// changes. Values below 1 clamp to 1.
-func (m *Machine) SetHostParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.hostPar = n
-}
-
-// HostParallelism returns the machine's host-core budget for RunParallel.
-func (m *Machine) HostParallelism() int { return m.hostPar }
 
 // NewA, NewB and NewC build the three paper machines.
 func NewA() *Machine { return New(SpecA()) }
@@ -397,31 +372,21 @@ func (m *Machine) Nodes() int { return m.Spec.Topo.Nodes() }
 
 // coherencePenalty charges a cache-to-cache transfer when lineTag is dirty
 // on another node. A read downgrades the line to shared (entry cleared); a
-// write takes ownership. During a round's concurrent phase the directory
-// is read and written through the thread's lane overlay (see lane.go), so
+// write takes ownership. During a group's turn the directory shows the
+// round-start state plus the group's own writes (see round.go), so
 // cross-node ownership changes become visible at round granularity.
 func (m *Machine) coherencePenalty(t *Thread, lineTag uint64, write bool) float64 {
 	idx := lineTag & uint64(len(m.writerDir)-1)
-	ln := t.lane
-	var e uint32
-	if ln != nil {
-		e = ln.dirRead(m, idx)
-	} else {
-		e = m.writerDir[idx]
-	}
+	e := m.writerDir[idx]
 	cost := 0.0
 	if e != 0 && e>>8 == uint32(lineTag>>16) {
 		owner := topology.NodeID(e&0xff) - 1
 		if owner != t.node {
 			cost = m.P.CoherenceCycles
 			// Downgraded out of the owner's cache.
-			if ln != nil {
-				ln.dirWrite(idx, 0)
-			} else {
-				m.writerDir[idx] = 0
-			}
+			m.dirWrite(t.group, idx, 0)
 			if m.trace != nil {
-				ev := trace.Event{
+				m.trace.Emit(trace.Event{
 					Cycle:  t.cycles,
 					Kind:   trace.Coherence,
 					Thread: int32(t.id),
@@ -429,12 +394,7 @@ func (m *Machine) coherencePenalty(t *Thread, lineTag uint64, write bool) float6
 					To:     int16(t.node),
 					Addr:   lineTag * uint64(m.Spec.LineSize),
 					Cost:   cost,
-				}
-				if ln != nil {
-					ln.events = append(ln.events, ev)
-				} else {
-					m.trace.Emit(ev)
-				}
+				})
 			}
 		}
 	}

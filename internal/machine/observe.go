@@ -366,8 +366,7 @@ func (m *Machine) noteThreadNode(id int, home topology.NodeID) {
 }
 
 // growThreadNodeAcc sizes the table through thread id. The scheduler
-// pre-sizes at Run start so the hot path's writes (each on the thread's
-// exclusive row) never append while node groups run concurrently.
+// pre-sizes at Run start, so every thread has a row from the first round.
 func (m *Machine) growThreadNodeAcc(id int) {
 	for id >= len(m.threadNodeAcc) {
 		m.threadNodeAcc = append(m.threadNodeAcc, make([]uint64, m.Spec.Topo.Nodes()))

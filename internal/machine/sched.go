@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"sync"
-
 	"repro/internal/cache"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -50,32 +48,10 @@ func (m *Machine) initialHW(i int) int {
 // runnable thread executes one scheduling quantum, grouped by NUMA node
 // (node-ascending, thread-id order within a node), and cross-thread
 // effects merge at the round boundary — where the kernel daemons also
-// fire on the global virtual clock. Under Run the groups themselves
-// execute sequentially, so a body may share Go state across threads
-// without synchronization, exactly as before; see RunParallel for the
-// host-parallel variant and the contract it demands.
+// fire on the global virtual clock (see round.go). Quanta execute one at
+// a time on the host, so a body may share Go state across threads without
+// synchronization.
 func (m *Machine) Run(n int, body func(t *Thread)) Result {
-	return m.run(n, body, 1)
-}
-
-// RunParallel executes body exactly like Run, but different NUMA nodes'
-// thread groups may execute their quanta concurrently on up to
-// HostParallelism host cores. All simulated state a quantum touches is
-// either private to its node group or buffered and merged in a fixed
-// order at the round boundary (see lane.go), so the simulation is
-// byte-identical to Run at any host parallelism and any GOMAXPROCS.
-//
-// The body must be parallel-safe: threads may interact only through the
-// simulated memory API (Read/Write/runs, Malloc/Free, Charge), never
-// through shared Go state. Bodies that share Go-side structures across
-// threads — legal under Run's sequential contract — would race here.
-func (m *Machine) RunParallel(n int, body func(t *Thread)) Result {
-	return m.run(n, body, m.hostPar)
-}
-
-// run is the scheduler engine behind Run and RunParallel; par is the
-// maximum number of node groups executed concurrently on the host.
-func (m *Machine) run(n int, body func(t *Thread), par int) Result {
 	if n <= 0 {
 		n = m.cfg.Threads
 	}
@@ -105,9 +81,13 @@ func (m *Machine) run(n int, body func(t *Thread), par int) Result {
 		}()
 	}
 	m.active = n
-	m.ensureLanes()
-	// Grow-on-demand tables are pre-sized so no group worker ever appends
-	// to shared storage mid-round.
+	if m.groupPool == nil {
+		m.groupPool = make([]*schedGroup, nodes)
+		for i := range m.groupPool {
+			m.groupPool[i] = &schedGroup{node: i}
+		}
+	}
+	// Per-thread tables get a row for every thread from the first round.
 	if m.prof != nil {
 		m.prof.thread(n - 1)
 	}
@@ -119,39 +99,15 @@ func (m *Machine) run(n int, body func(t *Thread), par int) Result {
 	copy(runnable, threads)
 	for len(runnable) > 0 {
 		groups := m.buildGroups(runnable)
-		w := par
-		if w > len(groups) {
-			w = len(groups)
-		}
-		if w <= 1 {
-			for _, g := range groups {
-				m.runGroup(g)
-			}
-		} else {
-			ch := make(chan *schedGroup)
-			var wg sync.WaitGroup
-			wg.Add(w)
-			for i := 0; i < w; i++ {
-				go func() {
-					defer wg.Done()
-					for g := range ch {
-						m.runGroup(g)
-					}
-				}()
-			}
-			for _, g := range groups {
-				ch <- g
-			}
-			close(ch)
-			wg.Wait()
-		}
-		// Round boundary. Publish lane effects in node order, then run the
-		// serial continuations: threads that parked on a serializing
-		// operation (demand fault, allocator call) finish their quantum
-		// one at a time against base state, in thread-id order.
 		for _, g := range groups {
-			m.mergeLane(g.lane)
+			m.runGroup(g)
 		}
+		// Round boundary. Publish the groups' directory writes in node
+		// order, then run the serial continuations: threads that parked on
+		// a serializing operation (demand fault, allocator call) finish
+		// their quantum one at a time against base state, in thread-id
+		// order.
+		m.mergeDir(groups)
 		for _, t := range runnable {
 			if !t.needSerial {
 				continue

@@ -170,13 +170,13 @@ func refAccess(t *Thread, addr, size uint64, write bool) {
 	m := t.m
 	line := uint64(m.Spec.LineSize)
 	last := (addr + size - 1) &^ (line - 1)
-	if t.lane == nil {
+	if t.group == nil {
 		m.current = t
 	}
 	for a := addr &^ (line - 1); a <= last; a += line {
 		refAccessLine(t, a, write)
 	}
-	if t.lane == nil {
+	if t.group == nil {
 		m.current = nil
 	}
 	t.maybeYield()

@@ -10,11 +10,8 @@ import (
 // Thread is a simulated worker thread. Workload bodies use it for every
 // interaction with the machine: memory access, allocation, and pure-CPU
 // work. Threads are cooperative and the virtual-time interleaving is
-// faithful to the quantum granularity. Under Machine.Run quanta execute
-// one at a time on the host, so a body needs no synchronization of Go
-// state; under Machine.RunParallel quanta of different NUMA nodes may
-// execute concurrently and the body must confine cross-thread interaction
-// to the simulated memory API.
+// faithful to the quantum granularity. Quanta execute one at a time on the
+// host, so a body needs no synchronization of Go state.
 type Thread struct {
 	m    *Machine
 	id   int
@@ -32,7 +29,7 @@ type Thread struct {
 	migrations uint64
 
 	// Round-local effect accumulators, merged by the scheduler at every
-	// round boundary (see lane.go): perf counters, the DRAM contention
+	// round boundary (see round.go): perf counters, the DRAM contention
 	// window (per home node, plus total and remote-share tallies), and
 	// AutoNUMA access samples. sampleTick paces the 1-in-16 sampling of
 	// this thread's DRAM accesses.
@@ -43,11 +40,11 @@ type Thread struct {
 	sampleDelta map[uint64]sampleEntry
 	sampleTick  uint64
 
-	// lane is the node group's effect buffer while the thread runs the
-	// concurrent phase of a round, nil in the serial phase and at
-	// boundaries. quantumStart and needSerial carry a split quantum (one
-	// that parked on a serializing operation) into the serial phase.
-	lane         *lane
+	// group is the thread's node group while it runs in the group's turn,
+	// nil in the serial phase and at boundaries. quantumStart and
+	// needSerial carry a split quantum (one that parked on a serializing
+	// operation) into the serial phase.
+	group        *schedGroup
 	quantumStart float64
 	needSerial   bool
 
@@ -76,11 +73,11 @@ func (t *Thread) stall(cycles float64) {
 	t.wall += cycles
 }
 
-// parkSerial hands the thread from a round's concurrent phase to its
-// serial phase: the scheduler resumes it, alone, after the round's lane
-// effects have merged, so the operation that needed serialization (demand
-// fault, allocator call, page-table mutation) runs against base state
-// exactly as it would between quanta.
+// parkSerial hands the thread from its group's turn to the round's serial
+// phase: the scheduler resumes it after every group has run and the
+// round's directory writes have merged, so the operation that needed
+// serialization (demand fault, allocator call, page-table mutation) runs
+// against base state exactly as it would between quanta.
 func (t *Thread) parkSerial() {
 	t.needSerial = true
 	t.parked <- struct{}{}
@@ -90,7 +87,7 @@ func (t *Thread) parkSerial() {
 	t.m.current = t
 }
 
-// fault resolves the page backing address a. During the concurrent phase
+// fault resolves the page backing address a. During a group's turn
 // mapped pages are served from the read-only page table (vmm.Fault is
 // pure for mapped pages, so the outcome is synthesized without touching
 // VMM state); anything that would mutate the VMM — a demand fault, first
@@ -98,7 +95,7 @@ func (t *Thread) parkSerial() {
 // and retakes the ordinary mutating path there.
 func (t *Thread) fault(a uint64) vmm.Fault {
 	m := t.m
-	if t.lane != nil {
+	if t.group != nil {
 		if node, huge, ok := m.Mem.Locate(a); ok {
 			return vmm.Fault{Node: node, Kind: vmm.Hit, Huge: huge}
 		}
@@ -107,17 +104,11 @@ func (t *Thread) fault(a uint64) vmm.Fault {
 	return m.Mem.Fault(a, t.node)
 }
 
-// noteWriter records that this thread's node last wrote lineTag, through
-// the lane overlay during a round's concurrent phase.
+// noteWriter records that this thread's node last wrote lineTag.
 func (t *Thread) noteWriter(lineTag uint64) {
 	m := t.m
 	idx := lineTag & uint64(len(m.writerDir)-1)
-	v := uint32(lineTag>>16)<<8 | (uint32(t.node) + 1)
-	if ln := t.lane; ln != nil {
-		ln.dirWrite(idx, v)
-	} else {
-		m.writerDir[idx] = v
-	}
+	m.dirWrite(t.group, idx, uint32(lineTag>>16)<<8|(uint32(t.node)+1))
 }
 
 // Charge accounts pure CPU work (hashing, comparisons, arithmetic) that
@@ -178,10 +169,10 @@ func (t *Thread) WriteStrided(addr, elem, stride uint64, count int) {
 
 // Malloc allocates size bytes through the machine's configured allocator,
 // charging the allocation cost to the thread. Allocator state is shared
-// across the machine, so during a round's concurrent phase the call first
-// parks into the serial phase.
+// across the machine, so during a group's turn the call first parks into
+// the serial phase.
 func (t *Thread) Malloc(size uint64) uint64 {
-	if t.lane != nil {
+	if t.group != nil {
 		t.parkSerial()
 	}
 	m := t.m
@@ -197,7 +188,7 @@ func (t *Thread) Malloc(size uint64) uint64 {
 
 // Free releases an allocation (sized free), charging its cost.
 func (t *Thread) Free(addr, size uint64) {
-	if t.lane != nil {
+	if t.group != nil {
 		t.parkSerial()
 	}
 	m := t.m
@@ -241,14 +232,13 @@ func (t *Thread) access(addr, size uint64, write bool) {
 	}
 	// Mark the acting thread so trace events emitted along the serial
 	// access path (faults, placements) are stamped with its cycle account.
-	// During a round's concurrent phase Machine.current stays untouched:
-	// the concurrent path emits no VMM events and stamps coherence events
-	// explicitly.
-	if t.lane == nil {
+	// During a group's turn Machine.current stays untouched: the group
+	// path emits no VMM events and stamps coherence events explicitly.
+	if t.group == nil {
 		m.current = t
 	}
 	t.accessLine(addr&^(m.lineSize-1), write)
-	if t.lane == nil {
+	if t.group == nil {
 		m.current = nil
 	}
 	t.maybeYield()
@@ -365,10 +355,9 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 		// Mark the acting thread so trace events emitted along the serial
 		// access path (faults, placements) are stamped with its cycle
 		// account; cleared before yielding so daemon work is stamped on
-		// the global clock. The concurrent path leaves Machine.current
-		// alone — it emits no VMM events and stamps coherence events
-		// explicitly.
-		if t.lane == nil {
+		// the global clock. The group path leaves Machine.current alone —
+		// it emits no VMM events and stamps coherence events explicitly.
+		if t.group == nil {
 			m.current = t
 		}
 		for a := a0 &^ lineMask; ; a += m.lineSize {
@@ -391,9 +380,9 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 					walkC = p.WalkHugeCycles
 				}
 			} else {
-				wasLane := t.lane != nil
+				inGroup := t.group != nil
 				f = t.fault(a)
-				if wasLane && t.lane == nil {
+				if inGroup && t.group == nil {
 					// The fault crossed into the serial phase: other
 					// threads ran in between, so the cached line handle is
 					// stale (dropping it is always safe — the uncached
@@ -481,7 +470,7 @@ func (t *Thread) accessRun(addr, elem, stride uint64, count int, write bool) {
 				break
 			}
 		}
-		if t.lane == nil {
+		if t.group == nil {
 			m.current = nil
 		}
 		// Inline maybeYield. Yielding parks the thread, and the scheduler

@@ -91,11 +91,11 @@ func MPSMJoin(m *machine.Machine, spec query.JoinSpec) query.JoinOutcome {
 	// Every phase of MPSM confines cross-worker interaction to the
 	// simulated memory API: the Go-side mirrors are indexed by worker id
 	// (writes touch only the writer's slot) and read only the previous
-	// phase's output, so each phase runs under RunParallel.
+	// phase's output.
 	//
 	// Setup (untimed, like query.LoadRecords): every worker allocates and
 	// first-touches its own chunk of both tables.
-	setupRes := m.RunParallel(w, func(t *machine.Thread) {
+	setupRes := m.Run(w, func(t *machine.Thread) {
 		id := t.ID()
 		for _, col := range []*ChunkedColumn{rCol, sCol} {
 			if id >= col.Chunks() {
@@ -120,7 +120,7 @@ func MPSMJoin(m *machine.Machine, spec query.JoinSpec) query.JoinOutcome {
 	}
 
 	// Phase 1: NUMA-local run sorts of R.
-	sortR := m.RunParallel(w, func(t *machine.Thread) {
+	sortR := m.Run(w, func(t *machine.Thread) {
 		id := t.ID()
 		if id >= rCol.Chunks() {
 			return
@@ -140,7 +140,7 @@ func MPSMJoin(m *machine.Machine, spec query.JoinSpec) query.JoinOutcome {
 	// range p: Go mirror, staging base address, all written locally by w.
 	stageTuples := make([][][]datagen.Record, w)
 	stageAddr := make([][]uint64, w)
-	partS := m.RunParallel(w, func(t *machine.Thread) {
+	partS := m.Run(w, func(t *machine.Thread) {
 		id := t.ID()
 		stageTuples[id] = make([][]datagen.Record, w)
 		stageAddr[id] = make([]uint64, w)
@@ -172,7 +172,7 @@ func MPSMJoin(m *machine.Machine, spec query.JoinSpec) query.JoinOutcome {
 	// ran elsewhere) — into a local first-touched partition, then sorts.
 	sPart := make([][]datagen.Record, w)
 	partAddr := make([]uint64, w)
-	gather := m.RunParallel(w, func(t *machine.Thread) {
+	gather := m.Run(w, func(t *machine.Thread) {
 		p := t.ID()
 		total := 0
 		for src := 0; src < w; src++ {
@@ -203,7 +203,7 @@ func MPSMJoin(m *machine.Machine, spec query.JoinSpec) query.JoinOutcome {
 	// Phase 4: merge join, matches accumulated per worker.
 	perMatches := make([]uint64, w)
 	perChecksum := make([]uint64, w)
-	merge := m.RunParallel(w, func(t *machine.Thread) {
+	merge := m.Run(w, func(t *machine.Thread) {
 		p := t.ID()
 		part := sPart[p]
 		if len(part) == 0 {

@@ -28,19 +28,19 @@ func IndexJoin(m *machine.Machine, kind index.Kind, tables datagen.JoinTables) J
 		}
 	})
 
-	// Index lookups are read-only on the pre-built index, so the probe
-	// runs under RunParallel with per-thread result accumulation.
+	// Index lookups are read-only on the pre-built index; results
+	// accumulate per thread.
 	outs := make([]vec, threads)
 	perMatches := make([]uint64, threads)
 	perChecksum := make([]uint64, threads)
-	probe := m.RunParallel(threads, func(t *machine.Thread) {
+	probe := m.Run(threads, func(t *machine.Thread) {
 		n := len(s)
 		lo, hi := n*t.ID()/threads, n*(t.ID()+1)/threads
 		out := &outs[t.ID()]
 		for i := lo; i < hi; i++ {
 			t.Read(sAddr+uint64(i)*recordBytes, recordBytes)
 			if rv, ok := idx.Lookup(t, s[i].Key); ok {
-				out.push(t, rv)
+				out.push(t)
 				perMatches[t.ID()]++
 				perChecksum[t.ID()] += rv + s[i].Val
 			}

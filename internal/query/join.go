@@ -48,12 +48,11 @@ func HashJoin(m *machine.Machine, spec JoinSpec) JoinOutcome {
 	})
 
 	// The probe phase only reads the table's Go-side state (the build is
-	// complete) and accumulates into per-thread slots, so it runs under
-	// RunParallel: node groups may probe concurrently on the host.
+	// complete) and accumulates into per-thread slots.
 	outs := make([]vec, threads)
 	perMatches := make([]uint64, threads)
 	perChecksum := make([]uint64, threads)
-	probe := m.RunParallel(threads, func(t *machine.Thread) {
+	probe := m.Run(threads, func(t *machine.Thread) {
 		n := len(s)
 		lo, hi := n*t.ID()/threads, n*(t.ID()+1)/threads
 		out := &outs[t.ID()]
@@ -62,7 +61,7 @@ func HashJoin(m *machine.Machine, spec JoinSpec) JoinOutcome {
 			if ri, ok := table.Get(t, s[i].Key); ok {
 				// Materialize the joined tuple into the thread-local
 				// output buffer.
-				out.push(t, uint64(ri))
+				out.push(t)
 				perMatches[t.ID()]++
 				perChecksum[t.ID()] += r[ri].Val + s[i].Val
 			}

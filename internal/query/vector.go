@@ -22,13 +22,12 @@ type vec struct {
 	addr uint64
 	n    int
 	cap  int
-	vals []uint64 // Go-side shadow for checksums
 }
 
 const vecElem = 8
 
-// push appends v, growing the simulated buffer when full.
-func (b *vec) push(t *machine.Thread, v uint64) {
+// push appends one element, growing the simulated buffer when full.
+func (b *vec) push(t *machine.Thread) {
 	if b.n == b.cap {
 		newCap := b.cap * 2
 		if newCap < 8 {
@@ -44,7 +43,6 @@ func (b *vec) push(t *machine.Thread, v uint64) {
 		b.cap = newCap
 	}
 	t.Write(b.addr+uint64(b.n)*vecElem, vecElem)
-	b.vals = append(b.vals, v)
 	b.n++
 }
 
@@ -52,6 +50,6 @@ func (b *vec) push(t *machine.Thread, v uint64) {
 func (b *vec) release(t *machine.Thread) {
 	if b.cap > 0 {
 		t.Free(b.addr, uint64(b.cap)*vecElem)
-		b.addr, b.n, b.cap, b.vals = 0, 0, 0, nil
+		b.addr, b.n, b.cap = 0, 0, 0
 	}
 }

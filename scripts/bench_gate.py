@@ -45,13 +45,7 @@ Gated ratios (each "X_vs_scalar" is ns/op of X over ns/op of scalar/plain):
   CPUs. Present only when the bench output includes BenchmarkMPSMJoin;
   chunked_scan_vs_single — the TPC-H Q1 scan on per-node chunked storage
   over the same scan on a single region, identical knobs. Present only
-  when the bench output includes BenchmarkChunkedScan;
-  machine_parallel_vs_serial — the round engine's worker-pool overhead:
-  RunParallel with four workers pinned to one host core (par4gomax1)
-  over the inline serial path on the same fixed workload. Pinning
-  GOMAXPROCS to 1 makes the ratio pure scheduling overhead, independent
-  of the runner's core count. Present only when the bench output
-  includes BenchmarkMachineParallel.
+  when the bench output includes BenchmarkChunkedScan.
 """
 import argparse
 import json
@@ -127,13 +121,6 @@ def ratios(ns, fig2_seconds):
         # fixed tables: a regression to either operator's simulated-work
         # shape moves this ratio.
         r["mpsm_vs_hashjoin"] = mp / hj
-    ser = ns.get("BenchmarkMachineParallel/serial")
-    pg1 = ns.get("BenchmarkMachineParallel/par4gomax1")
-    if ser is not None and pg1 is not None:
-        # Four quantum workers pinned to one host core vs the inline
-        # serial path: the worker pool's pure dispatch/merge overhead,
-        # which must stay near 1 regardless of the runner's core count.
-        r["machine_parallel_vs_serial"] = pg1 / ser
     ss = ns.get("BenchmarkChunkedScan/single")
     cs = ns.get("BenchmarkChunkedScan/chunked")
     if ss is not None and cs is not None:
