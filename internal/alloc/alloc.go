@@ -153,9 +153,6 @@ func ClassSize(size uint64) uint64 {
 	return classSizes[classFor(size)]
 }
 
-// NumClasses returns the number of small size classes.
-func NumClasses() int { return len(classSizes) }
-
 // contendedWait returns the expected wait to acquire a lock shared by
 // `sharers` threads issuing allocation bursts. The superlinear exponent
 // models convoy formation: beyond a couple of competitors, waiters queue

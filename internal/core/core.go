@@ -1,14 +1,14 @@
 // Package core implements the paper's primary contribution: the systematic
 // tuning methodology. It defines the experiment parameter space of
-// Table IV, a grid runner that sweeps workloads across configurations, and
-// the Figure 10 decision flowchart as an executable Advisor that turns
-// workload traits into a recommended configuration with the paper's
-// rationale attached.
+// Table IV, the Figure 10 decision flowchart as an executable Advisor that
+// turns workload traits into a recommended configuration with the paper's
+// rationale attached, and the grid runner every sweep goes through:
+// Collect runs independent cells on a Runner's worker pool and returns
+// their results by cell index.
 package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/datagen"
@@ -161,42 +161,6 @@ func (r Recommendation) Apply(n int) machine.RunConfig {
 		THP:       !r.DisableTHP,
 		Seed:      1,
 	}
-}
-
-// Measurement is one grid cell: a configuration and its measured wall
-// cycles plus counters, together with the host wall time the cell took to
-// simulate (not a simulated quantity; useful for harness profiling).
-type Measurement struct {
-	Label  string
-	Config machine.RunConfig
-	Result machine.Result
-	Wall   time.Duration
-}
-
-// Cycles returns the measured wall cycles.
-func (m Measurement) Cycles() float64 { return m.Result.WallCycles }
-
-// RunGrid sweeps a workload over configurations on the given runner's
-// worker pool. The workload closure builds a fresh machine per cell (cold
-// runs, as the paper measures W1-W4), so cells are independent and may run
-// concurrently; measurements come back ordered by cell index either way.
-// A label/config length mismatch or a panicking cell is reported as an
-// error rather than crashing the sweep.
-func RunGrid(r Runner, labels []string, cfgs []machine.RunConfig, run func(cfg machine.RunConfig) machine.Result) ([]Measurement, error) {
-	if len(labels) != len(cfgs) {
-		return nil, fmt.Errorf("core: %d labels for %d configs", len(labels), len(cfgs))
-	}
-	return Collect(r, len(cfgs), func(i int) (Measurement, error) {
-		start := time.Now()
-		res := run(cfgs[i])
-		return Measurement{Label: labels[i], Config: cfgs[i], Result: res, Wall: time.Since(start)}, nil
-	})
-}
-
-// Grid is RunGrid on a serial runner: cells execute one at a time in index
-// order.
-func Grid(labels []string, cfgs []machine.RunConfig, run func(cfg machine.RunConfig) machine.Result) ([]Measurement, error) {
-	return RunGrid(Serial, labels, cfgs, run)
 }
 
 // Speedup returns the relative latency reduction of b versus a, as the

@@ -134,25 +134,6 @@ func TestAdvisedBeatsDefaultOnW1(t *testing.T) {
 	}
 }
 
-func TestGrid(t *testing.T) {
-	cfgs := []machine.RunConfig{machine.DefaultConfig(2), machine.TunedConfig(2)}
-	ms, err := Grid([]string{"default", "tuned"}, cfgs, func(cfg machine.RunConfig) machine.Result {
-		return machine.Result{WallCycles: float64(cfg.Threads)}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 2 || ms[0].Label != "default" || ms[1].Cycles() != 2 {
-		t.Errorf("grid output wrong: %+v", ms)
-	}
-}
-
-func TestGridErrorsOnMismatch(t *testing.T) {
-	if _, err := Grid([]string{"a"}, nil, nil); err == nil {
-		t.Fatal("expected an error for a label/config length mismatch")
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	if s := Speedup(10, 5); s != 0.5 {
 		t.Errorf("Speedup(10,5) = %v, want 0.5", s)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -129,38 +130,28 @@ func TestProgressWriterFinalLine(t *testing.T) {
 }
 
 func TestRunGridParallelMatchesSerial(t *testing.T) {
-	labels := make([]string, 12)
-	cfgs := make([]machine.RunConfig, 12)
-	for i := range cfgs {
-		labels[i] = fmt.Sprintf("cell%d", i)
-		cfgs[i] = machine.TunedConfig(i + 1)
-	}
-	run := func(cfg machine.RunConfig) machine.Result {
+	cell := func(i int) (machine.Result, error) {
+		cfg := machine.TunedConfig(i + 1)
 		m := machine.NewA()
 		m.Configure(cfg)
-		res := m.Run(cfg.Threads, func(t *machine.Thread) {
+		return m.Run(cfg.Threads, func(t *machine.Thread) {
 			a := t.Malloc(1 << 16)
 			t.Write(a, 1<<16)
 			t.Read(a, 1<<16)
 			t.Free(a, 1<<16)
-		})
-		return res
+		}), nil
 	}
-	serial, err := RunGrid(Serial, labels, cfgs, run)
+	serial, err := Collect(Serial, 12, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunGrid(Runner{Workers: 4}, labels, cfgs, run)
+	par, err := Collect(Runner{Workers: 4}, 12, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial {
-		if serial[i].Label != par[i].Label || serial[i].Cycles() != par[i].Cycles() {
-			t.Errorf("cell %d: serial (%s, %v) != parallel (%s, %v)",
-				i, serial[i].Label, serial[i].Cycles(), par[i].Label, par[i].Cycles())
+		if !reflect.DeepEqual(serial[i], par[i]) {
+			t.Errorf("cell %d: serial %+v != parallel %+v", i, serial[i], par[i])
 		}
-	}
-	if serial[0].Wall <= 0 {
-		t.Error("per-cell wall time should be recorded")
 	}
 }

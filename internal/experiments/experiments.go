@@ -11,6 +11,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/machine"
 	"repro/internal/query"
+	"repro/internal/tune"
 	"repro/internal/vmm"
 )
 
@@ -101,20 +102,9 @@ var Default = Scale{
 // tracing is on it attaches an event recorder and periodic counter
 // snapshots, so every grid cell's record carries its event stream.
 func machineFor(letter string) *machine.Machine {
-	var m *machine.Machine
-	switch letter {
-	case "A":
-		m = machine.NewA()
-	case "B":
-		m = machine.NewB()
-	case "C":
-		m = machine.NewC()
-	case "D":
-		m = machine.NewD()
-	case "E":
-		m = machine.NewE()
-	default:
-		panic("experiments: unknown machine " + letter)
+	m, err := tune.MachineFor(letter)
+	if err != nil {
+		panic(err)
 	}
 	var o machine.ObserveOptions
 	if cellTracing {

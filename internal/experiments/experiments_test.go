@@ -341,10 +341,15 @@ func TestFig6jShape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	e, err := Fig7e(calScale)
-	if err != nil {
-		t.Fatal(err)
+	var grids []Fig7Result
+	for _, kind := range index.Kinds() {
+		g, err := Fig7(calScale, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids = append(grids, g)
 	}
+	e := Fig7eFromGrids(grids)
 	// Claim 10: ART and B+tree are the fastest indexes overall; the Skip
 	// List's join is the slowest.
 	join := map[index.Kind]float64{}

@@ -99,19 +99,6 @@ func (r Fig7Result) Render() *report.Table {
 	return t
 }
 
-// BestJoinCell returns the fastest join time in the grid.
-func (r Fig7Result) BestJoinCell() float64 {
-	best := r.JoinCycles[0][0]
-	for _, row := range r.JoinCycles {
-		for _, v := range row {
-			if v < best {
-				best = v
-			}
-		}
-	}
-	return best
-}
-
 // Fig7eResult holds Figure 7e: each index's build and join time at its
 // fastest configuration.
 type Fig7eResult struct {
@@ -121,23 +108,8 @@ type Fig7eResult struct {
 	Alloc []string
 }
 
-// Fig7e summarizes the four Fig7 grids into build/join at best config.
-// Each Fig7 grid already fans its cells out on the worker pool.
-func Fig7e(s Scale) (Fig7eResult, error) {
-	var grids []Fig7Result
-	for _, kind := range index.Kinds() {
-		g, err := Fig7(s, kind)
-		if err != nil {
-			return Fig7eResult{}, err
-		}
-		grids = append(grids, g)
-	}
-	return Fig7eFromGrids(grids), nil
-}
-
-// Fig7eFromGrids builds Figure 7e from already-computed Fig7 grids,
-// letting callers that render both skip re-running every sweep (the grids
-// are deterministic, so the result is identical to Fig7e).
+// Fig7eFromGrids builds Figure 7e from the four Fig7 grids (one per
+// index kind): each index's build and join time at its best configuration.
 func Fig7eFromGrids(grids []Fig7Result) Fig7eResult {
 	var out Fig7eResult
 	for _, g := range grids {

@@ -65,7 +65,7 @@ func Profile(s Scale) (ProfileResult, error) {
 		start := startCell()
 		m := machineFor("A")
 		m.Configure(specs[i].cfg)
-		m.SetProfiling(true)
+		m.Observe(machine.ObserveOptions{Profile: true})
 		res := runW1(m, s, datagen.MovingClusterDist).Result
 		rec := finishCell(start, specs[i].name,
 			map[string]string{

@@ -36,12 +36,8 @@ type Descriptor struct {
 
 // Run executes the experiment with the given options, stamping the result
 // and every record with the experiment id. A zero Options runs every
-// knob at its default (deprecated SetServeOptions values still apply as
-// the fallback for callers that have not migrated).
+// knob at its default.
 func (d Descriptor) Run(s Scale, o Options) (*Result, error) {
-	if o.Serve == (ServeOptions{}) {
-		o.Serve = serveOpts
-	}
 	r, err := d.run(s, o)
 	if err != nil {
 		return nil, err
@@ -172,9 +168,6 @@ func buildRegistry() map[string]Descriptor {
 			Id: "fig7", Title: "Index nested-loop join grids and best-config phase split",
 			Artifact: "Figure 7a-7e", DefaultScale: "cal",
 			run: func(s Scale, o Options) (*Result, error) {
-				// Render the four grids and derive Figure 7e from them
-				// instead of re-running every sweep: deterministic cells
-				// make the two byte-identical, at half the wall time.
 				out := &Result{}
 				var grids []Fig7Result
 				for _, k := range index.Kinds() {

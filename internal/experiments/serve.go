@@ -26,15 +26,6 @@ type ServeOptions struct {
 	Util float64
 }
 
-var serveOpts ServeOptions
-
-// SetServeOptions overrides the serve experiment's stream length and
-// offered load as a package-wide default.
-//
-// Deprecated: pass Options{Serve: ...} to Descriptor.Run instead; the
-// global only applies when Run receives a zero ServeOptions.
-func SetServeOptions(o ServeOptions) { serveOpts = o }
-
 // serveArrivals are the two arrival processes each configuration serves.
 var serveArrivals = []string{serve.ArrivalPoisson, serve.ArrivalBursty}
 

@@ -182,9 +182,6 @@ func (h *Table) insert(t *machine.Thread, b uint64, key uint64, val uint32) {
 // Len returns the number of stored entries.
 func (h *Table) Len() int { return len(h.nodes) }
 
-// Buckets returns the bucket count.
-func (h *Table) Buckets() int { return len(h.heads) }
-
 // ForEach calls fn for every (key, value) pair, charging sequential reads
 // to t. Iteration order is bucket order, deterministic.
 func (h *Table) ForEach(t *machine.Thread, fn func(key uint64, val uint32)) {

@@ -19,12 +19,11 @@ func (s *countSink) Emit(trace.Event) { s.n++ }
 func benchAccessPath(b *testing.B, kind string, traced, profiled bool) {
 	m := NewB()
 	m.Configure(testConfig(1))
-	if profiled {
-		m.SetProfiling(true)
-	}
+	o := ObserveOptions{Profile: profiled}
 	if traced {
-		m.SetTrace(&countSink{})
+		o.Sink = &countSink{}
 	}
+	m.Observe(o)
 	const bufBytes = 8 << 20
 	const lines = bufBytes / 64
 	var base uint64

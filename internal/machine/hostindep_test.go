@@ -48,9 +48,8 @@ func runAtProcs(mk func() *Machine, cfg RunConfig, threads, procs int) (Result, 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	m := mk()
 	m.Configure(cfg)
-	m.SetProfiling(true)
 	rec := trace.NewRecorder()
-	m.SetTrace(rec)
+	m.Observe(ObserveOptions{Sink: rec, Profile: true})
 	var shared uint64
 	m.Run(1, func(t *Thread) {
 		shared = t.Malloc(1 << 20)
@@ -120,8 +119,7 @@ func TestRunParallelRace(t *testing.T) {
 	for _, cfg := range []RunConfig{DefaultConfig(8), TunedConfig(8)} {
 		m := NewB()
 		m.Configure(cfg)
-		m.SetProfiling(true)
-		m.SetTrace(trace.NewRecorder())
+		m.Observe(ObserveOptions{Trace: true, Profile: true})
 		var shared uint64
 		m.Run(1, func(t *Thread) {
 			shared = t.Malloc(1 << 20)

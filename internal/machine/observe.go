@@ -9,11 +9,7 @@ import (
 )
 
 // ObserveOptions selects what a Machine records. The zero value observes
-// nothing; set the fields for the instruments you want. One Observe call
-// replaces the SetTrace/SetProfiling/StartSnapshots/ResetCounters setup
-// dance and applies the pieces in the only order that composes correctly
-// (instruments first, counter rescope last, so counters, snapshots and
-// profile all describe the same window).
+// nothing; set the fields for the instruments you want.
 type ObserveOptions struct {
 	// Trace attaches an event sink. With Sink nil a fresh trace.Recorder
 	// is attached (retrieve it via Telemetry.Events or Machine.Trace).
@@ -31,36 +27,39 @@ type ObserveOptions struct {
 	// deltas come from the profiler — and are observation-only: the
 	// simulated results are bit-identical with spans on or off.
 	Spans bool
-	// ResetCounters zeroes the counter profile after the instruments are
-	// attached, so everything measures from the same origin.
-	ResetCounters bool
 }
 
-// Observe configures the machine's instrumentation in one call and returns
-// a read-only Telemetry view over it. Instruments only observe: a run with
+// Observe attaches the selected instruments and returns a read-only
+// Telemetry view over the machine. Instruments only observe: a run with
 // any combination of them attached is byte-identical to an uninstrumented
-// run. Observe may be called again between phases to re-scope or extend
-// what is recorded.
+// run, and with none attached every hook reduces to one pointer compare.
+// Observe may be called again between phases to re-scope or extend what
+// is recorded; instruments it is not asked for stay as they are. Use
+// ResetCounters to rescope the counter profile.
 func (m *Machine) Observe(o ObserveOptions) *Telemetry {
 	if o.Trace || o.Sink != nil {
-		s := o.Sink
-		if s == nil {
-			s = trace.NewRecorder()
+		if o.Sink == nil {
+			o.Sink = trace.NewRecorder()
 		}
-		m.SetTrace(s)
+		m.trace = o.Sink
+		m.Mem.SetTrace(o.Sink, m.traceNow)
 	}
 	if o.Spans {
 		m.spans = true
 		o.Profile = true
 	}
 	if o.Profile {
-		m.SetProfiling(true)
+		m.prof = newProfiler(m.Spec.Topo.Nodes())
+	}
+	if o.Sink != nil || o.Profile {
+		m.wireAllocHooks()
 	}
 	if o.SnapEvery > 0 {
-		m.StartSnapshots(o.SnapEvery)
-	}
-	if o.ResetCounters {
-		m.ResetCounters()
+		// The new series gets its own backing storage: a slice previously
+		// obtained from Snapshots stays valid across a restart.
+		m.snapEvery = o.SnapEvery
+		m.nextSnap = m.clock + o.SnapEvery
+		m.snaps = nil
 	}
 	return &Telemetry{m: m}
 }
@@ -96,10 +95,6 @@ func (v *Telemetry) Snapshots() []Snapshot { return v.m.Snapshots() }
 // is off.
 func (v *Telemetry) Profile() *Profile { return v.m.Profile() }
 
-// ThreadBuckets returns a copy of one thread's per-bucket cycles, nil when
-// profiling is off.
-func (v *Telemetry) ThreadBuckets(id int) []float64 { return v.m.ThreadBuckets(id) }
-
 // Events returns the recorded trace events when the attached sink is a
 // *trace.Recorder (the Observe default), nil otherwise.
 func (v *Telemetry) Events() []trace.Event {
@@ -116,10 +111,6 @@ func (v *Telemetry) Events() []trace.Event {
 func (v *Telemetry) NodeOccupancy() []float64 {
 	return append([]float64(nil), v.m.nodeMult...)
 }
-
-// LinkPressure returns the interconnect contention multiplier
-// (1 = uncontended).
-func (v *Telemetry) LinkPressure() float64 { return v.m.linkMult }
 
 // ThreadNodeAccesses returns a copy of the per-thread × per-node DRAM
 // access counts accumulated while a daemon is attached:
@@ -147,10 +138,6 @@ func (v *Telemetry) ThreadNode(id int) (topology.NodeID, bool) {
 	}
 	return t.Node(), true
 }
-
-// Threads returns the number of workload threads in the current run during
-// a daemon window, 0 outside one.
-func (v *Telemetry) Threads() int { return len(v.m.daemonThreads) }
 
 // NodeThreads returns how many running threads currently sit on each node
 // during a daemon window, nil outside one. Together with

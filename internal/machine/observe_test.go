@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -32,13 +31,11 @@ func observeMachine() *Machine {
 	return m
 }
 
-// TestObserveSubsetsMatchSetters runs every subset of ObserveOptions
-// {Trace, Profile, SnapEvery, Spans} against the equivalent deprecated
-// setter sequence (SetTrace / SetProfiling / StartSnapshots; spans add
-// profiling) and asserts both machines report identical telemetry — and,
-// because instruments only observe, results bit-identical to the
-// uninstrumented baseline.
-func TestObserveSubsetsMatchSetters(t *testing.T) {
+// TestObserveSubsetsMatchBaseline runs every subset of ObserveOptions
+// {Trace, Profile, SnapEvery, Spans} and asserts each attaches exactly the
+// instruments it asks for while the simulated results stay bit-identical
+// to the uninstrumented baseline, because instruments only observe.
+func TestObserveSubsetsMatchBaseline(t *testing.T) {
 	base := observeMachine()
 	observeWorkload(base)
 	baseCtr := base.Counters()
@@ -59,64 +56,28 @@ func TestObserveSubsetsMatchSetters(t *testing.T) {
 		tel := mo.Observe(o)
 		observeWorkload(mo)
 
-		md := observeMachine()
-		if o.Trace {
-			md.SetTrace(trace.NewRecorder())
+		if mo.Counters() != baseCtr {
+			t.Fatalf("mask %04b: counters diverged from baseline\nobserve: %+v\nbase:    %+v",
+				mask, mo.Counters(), baseCtr)
 		}
-		if o.Profile || o.Spans {
-			md.SetProfiling(true)
-		}
-		if o.SnapEvery > 0 {
-			md.StartSnapshots(snapEvery)
-		}
-		observeWorkload(md)
-		dtel := md.Observe(ObserveOptions{})
-
-		// Bit-identical simulated results, against each other and the
-		// uninstrumented baseline.
-		if mo.Counters() != baseCtr || md.Counters() != baseCtr {
-			t.Fatalf("mask %04b: counters diverged from baseline\nobserve: %+v\nsetters: %+v\nbase:    %+v",
-				mask, mo.Counters(), md.Counters(), baseCtr)
-		}
-		if tel.Clock() != baseClock || dtel.Clock() != baseClock {
-			t.Fatalf("mask %04b: clock diverged: observe %v, setters %v, base %v",
-				mask, tel.Clock(), dtel.Clock(), baseClock)
+		if tel.Clock() != baseClock {
+			t.Fatalf("mask %04b: clock diverged: observe %v, base %v", mask, tel.Clock(), baseClock)
 		}
 
-		// Identical telemetry per instrument.
-		if got, want := len(tel.Events()), len(dtel.Events()); got != want {
-			t.Errorf("mask %04b: %d events via Observe, %d via SetTrace", mask, got, want)
-		}
 		if o.Trace && len(tel.Events()) == 0 {
 			t.Errorf("mask %04b: traced run recorded no events", mask)
 		}
 		if !o.Trace && tel.Events() != nil {
 			t.Errorf("mask %04b: untraced run has events", mask)
 		}
-		po, pd := tel.Profile(), dtel.Profile()
-		if (po == nil) != (pd == nil) {
-			t.Fatalf("mask %04b: profile presence differs (observe %v, setters %v)", mask, po != nil, pd != nil)
+		if wantProf := o.Profile || o.Spans; (tel.Profile() != nil) != wantProf {
+			t.Errorf("mask %04b: profile presence %v, want %v", mask, tel.Profile() != nil, wantProf)
 		}
-		if wantProf := o.Profile || o.Spans; (po != nil) != wantProf {
-			t.Errorf("mask %04b: profile presence %v, want %v", mask, po != nil, wantProf)
+		if got := len(tel.Snapshots()) > 0; got != (o.SnapEvery > 0) {
+			t.Errorf("mask %04b: took snapshots %v, want %v", mask, got, o.SnapEvery > 0)
 		}
-		if po != nil && !reflect.DeepEqual(po.Totals(), pd.Totals()) {
-			t.Errorf("mask %04b: profile totals differ\nobserve: %v\nsetters: %v", mask, po.Totals(), pd.Totals())
-		}
-		if !reflect.DeepEqual(tel.Snapshots(), dtel.Snapshots()) {
-			t.Errorf("mask %04b: snapshots differ (%d vs %d)", mask, len(tel.Snapshots()), len(dtel.Snapshots()))
-		}
-		if o.SnapEvery > 0 && len(tel.Snapshots()) == 0 {
-			t.Errorf("mask %04b: snapshotting run took no snapshots", mask)
-		}
-
-		// SpansEnabled is the one flag with no deprecated equivalent: it
-		// only marks the machine for harness-side collection.
 		if mo.SpansEnabled() != o.Spans {
 			t.Errorf("mask %04b: SpansEnabled = %v, want %v", mask, mo.SpansEnabled(), o.Spans)
-		}
-		if md.SpansEnabled() {
-			t.Errorf("mask %04b: deprecated setters turned spans on", mask)
 		}
 	}
 }

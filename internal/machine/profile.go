@@ -152,7 +152,7 @@ type NodeBreakdown struct {
 
 // Profile is a machine's accumulated cycle attribution: where every
 // charged cycle went, per thread and per NUMA node, plus a numastat-style
-// access matrix. Obtain one from Machine.Profile after SetProfiling(true).
+// access matrix. Obtain one from Machine.Profile after Observe with Profile.
 type Profile struct {
 	// BucketNames gives the Buckets index order, so a serialized profile
 	// is self-describing.
@@ -307,29 +307,9 @@ func (pr *profiler) snapshot() *Profile {
 	return p
 }
 
-// SetProfiling attaches (true) or detaches (false) the cycle-attribution
-// profiler. Attaching starts a fresh accumulation. Like tracing, profiling
-// only observes — simulated results are byte-identical either way — and
-// with profiling off every hook reduces to one pointer compare.
-//
-// Deprecated: use Observe with ObserveOptions.Profile. SetProfiling
-// remains as a thin wrapper (pass on=false directly to detach).
-func (m *Machine) SetProfiling(on bool) {
-	if !on {
-		m.prof = nil
-		m.wireAllocHooks()
-		return
-	}
-	m.prof = newProfiler(m.Spec.Topo.Nodes())
-	m.wireAllocHooks()
-}
-
-// Profiling reports whether cycle attribution is currently on.
-func (m *Machine) Profiling() bool { return m.prof != nil }
-
-// Profile returns the accumulated cycle attribution since SetProfiling
-// (or ResetProfile), nil when profiling is off. The returned value is a
-// snapshot; continuing the run does not mutate it.
+// Profile returns the accumulated cycle attribution since Observe attached
+// the profiler (or ResetProfile), nil when profiling is off. The returned
+// value is a snapshot; continuing the run does not mutate it.
 func (m *Machine) Profile() *Profile {
 	if m.prof == nil {
 		return nil

@@ -102,7 +102,7 @@ func TestProfileAccountingComplete(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.machine()
 			m.Configure(tc.cfg)
-			m.SetProfiling(true)
+			m.Observe(ObserveOptions{Profile: true})
 			var shared uint64
 			res := m.Run(tc.threads, profileBody(&shared))
 			p := m.Profile()
@@ -184,7 +184,7 @@ func TestProfilingIsObservationOnly(t *testing.T) {
 		cfg := DefaultConfig(8)
 		cfg.Seed = 42
 		m.Configure(cfg)
-		m.SetProfiling(profiled)
+		m.Observe(ObserveOptions{Profile: profiled})
 		var shared uint64
 		return m.Run(8, profileBody(&shared))
 	}
@@ -200,7 +200,7 @@ func TestProfilingIsObservationOnly(t *testing.T) {
 func TestProfileNilWhenOff(t *testing.T) {
 	m := NewB()
 	m.Configure(testConfig(2))
-	if m.Profiling() {
+	if m.Profile() != nil {
 		t.Error("profiling should default off")
 	}
 	m.Run(2, scanBody(256<<10, 1))
@@ -209,10 +209,10 @@ func TestProfileNilWhenOff(t *testing.T) {
 	}
 }
 
-func TestProfileResetAndDetach(t *testing.T) {
+func TestProfileResetAndReattach(t *testing.T) {
 	m := NewB()
 	m.Configure(testConfig(2))
-	m.SetProfiling(true)
+	m.Observe(ObserveOptions{Profile: true})
 	m.Run(2, scanBody(256<<10, 1))
 	if m.Profile().WallCycles() == 0 {
 		t.Fatal("no cycles attributed")
@@ -221,9 +221,10 @@ func TestProfileResetAndDetach(t *testing.T) {
 	if w := m.Profile().WallCycles(); w != 0 {
 		t.Errorf("wall after reset = %v, want 0", w)
 	}
-	m.SetProfiling(false)
-	if m.Profile() != nil {
-		t.Error("Profile() should be nil after detach")
+	m.Run(2, scanBody(256<<10, 1))
+	m.Observe(ObserveOptions{Profile: true})
+	if w := m.Profile().WallCycles(); w != 0 {
+		t.Errorf("wall after re-observing = %v, want a fresh accumulation", w)
 	}
 }
 
@@ -231,7 +232,7 @@ func TestProfileSnapshotIsStable(t *testing.T) {
 	// The exported Profile must not alias live accumulation state.
 	m := NewB()
 	m.Configure(testConfig(2))
-	m.SetProfiling(true)
+	m.Observe(ObserveOptions{Profile: true})
 	m.Run(2, scanBody(256<<10, 1))
 	p := m.Profile()
 	before := p.WallCycles()

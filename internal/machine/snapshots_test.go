@@ -19,7 +19,7 @@ func pumpTo(m *Machine, cycle float64) {
 func TestSnapshotThinningKeepsFirstStamp(t *testing.T) {
 	const every = 10.0
 	m := NewA()
-	m.StartSnapshots(every)
+	m.Observe(ObserveOptions{SnapEvery: every})
 
 	// Far enough for three thinning rounds (64 -> 32 at cadence 20, refill
 	// to 64 -> 32 at 40, refill -> 32 at 80), one quantum at a time so the
@@ -62,13 +62,13 @@ func TestSnapshotThinningKeepsFirstStamp(t *testing.T) {
 
 // TestSnapshotsNotAliased pins the ownership contract of Snapshots: a
 // series held by a caller must survive a snapshot restart (the pre-fix
-// StartSnapshots truncated the shared backing array in place, so the next
-// phase's samples clobbered the caller's copy), and mutating the returned
-// slice must not write through into the machine.
+// restart truncated the shared backing array in place, so the next phase's
+// samples clobbered the caller's copy), and mutating the returned slice
+// must not write through into the machine.
 func TestSnapshotsNotAliased(t *testing.T) {
 	const every = 10.0
 	m := NewA()
-	m.StartSnapshots(every)
+	m.Observe(ObserveOptions{SnapEvery: every})
 	pumpTo(m, 5*every)
 
 	first := m.Snapshots()
@@ -78,7 +78,7 @@ func TestSnapshotsNotAliased(t *testing.T) {
 	saved := append([]Snapshot(nil), first...)
 
 	// Restart and run a second phase over the shared storage's range.
-	m.StartSnapshots(every)
+	m.Observe(ObserveOptions{SnapEvery: every})
 	pumpTo(m, 12*every)
 
 	for i := range first {

@@ -330,9 +330,8 @@ func TestBatchedPathEquivalence(t *testing.T) {
 			run := func(ops accessOps) (Result, *Profile, []trace.Event) {
 				m := tc.machine()
 				m.Configure(tc.cfg)
-				m.SetProfiling(true)
 				rec := trace.NewRecorder()
-				m.SetTrace(rec)
+				m.Observe(ObserveOptions{Sink: rec, Profile: true})
 				var shared uint64
 				res := m.Run(tc.threads, equivBody(ops, &shared))
 				return res, m.Profile(), rec.Events

@@ -11,23 +11,6 @@ type Snapshot struct {
 	Counters Counters `json:"counters"`
 }
 
-// SetTrace attaches an event sink to the machine and every layer under it
-// (vmm placement events, allocator lock stalls). Pass nil to detach. With
-// no sink attached every hook reduces to one pointer compare, so untraced
-// runs pay nothing.
-//
-// Deprecated: use Observe with ObserveOptions.Trace/Sink, which composes
-// all the instruments in one call. SetTrace remains as a thin wrapper.
-func (m *Machine) SetTrace(s trace.Sink) {
-	m.trace = s
-	if s == nil {
-		m.Mem.SetTrace(nil, nil)
-	} else {
-		m.Mem.SetTrace(s, m.traceNow)
-	}
-	m.wireAllocHooks()
-}
-
 // Trace returns the attached event sink, nil when tracing is off.
 func (m *Machine) Trace() trace.Sink { return m.trace }
 
@@ -82,27 +65,12 @@ func (m *Machine) wireAllocHooks() {
 // so any run yields at most this many points regardless of length.
 const maxSnapshots = 64
 
-// StartSnapshots enables periodic counter snapshots every `every` simulated
-// cycles, starting a fresh series. Samples are taken at scheduling points
-// (between thread quanta), so each carries the counter state at the first
-// scheduling event at or after its stamp. The new series gets its own
-// backing storage: a slice previously obtained from Snapshots stays valid
-// across a restart (phase rescoping, back-to-back serving phases).
-//
-// Deprecated: use Observe with ObserveOptions.SnapEvery. StartSnapshots
-// remains as a thin wrapper.
-func (m *Machine) StartSnapshots(every float64) {
-	if every <= 0 {
-		every = 1e8
-	}
-	m.snapEvery = every
-	m.nextSnap = m.clock + every
-	m.snaps = nil
-}
-
-// Snapshots returns a copy of the samples taken since StartSnapshots.
-// Callers own the returned slice: neither further sampling nor a snapshot
-// restart mutates it, and mutating it does not perturb the machine.
+// Snapshots returns a copy of the samples taken since Observe started the
+// series. Samples are taken at scheduling points (between thread quanta),
+// so each carries the counter state at the first scheduling event at or
+// after its stamp. Callers own the returned slice: neither further
+// sampling nor a snapshot restart mutates it, and mutating it does not
+// perturb the machine.
 func (m *Machine) Snapshots() []Snapshot {
 	return append([]Snapshot(nil), m.snaps...)
 }

@@ -45,11 +45,3 @@ func (b *vec) push(t *machine.Thread) {
 	t.Write(b.addr+uint64(b.n)*vecElem, vecElem)
 	b.n++
 }
-
-// release frees the simulated buffer.
-func (b *vec) release(t *machine.Thread) {
-	if b.cap > 0 {
-		t.Free(b.addr, uint64(b.cap)*vecElem)
-		b.addr, b.n, b.cap = 0, 0, 0
-	}
-}

@@ -19,11 +19,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/machine"
+	"repro/internal/memo"
 	"repro/internal/query"
 	"repro/internal/span"
 	"repro/internal/tpch"
@@ -669,13 +669,39 @@ func Run(m *machine.Machine, sp Spec) *Outcome {
 		measured = append(measured, i)
 	}
 	out.Metrics = computeMetrics(sp, svc, latency, wait, measured, makespan)
+	p999 := out.Metrics.P999
+
+	// One pass matches the recorded events to request windows for both
+	// consumers: the tail counts the serving threads' own events in
+	// measured requests by kind, and each service span counts every event
+	// in its window by kind and initiator.
 	var events []trace.Event
 	if rec != nil {
 		events = rec.Events[evStart:]
 	}
-	out.Tail = computeTail(svc, latency, wait, measured, out.Metrics.P999, events)
+	var evCount []map[string]uint64
 	if m.SpansEnabled() {
-		out.Spans = buildSpans(sp, reqs, svc, latency, wait, events)
+		evCount = make([]map[string]uint64, len(reqs))
+	}
+	allEv := make([]float64, len(trace.Kinds()))
+	tailEv := make([]float64, len(trace.Kinds()))
+	matchEvents(svc, events, func(i int, ev trace.Event) {
+		if evCount != nil {
+			if evCount[i] == nil {
+				evCount[i] = map[string]uint64{}
+			}
+			evCount[i][ev.Kind.String()+"/"+ev.Initiator.String()]++
+		}
+		if ev.Thread >= 0 && i >= sp.Warmup && int(ev.Kind) < len(allEv) {
+			allEv[ev.Kind]++
+			if latency[i] >= p999 {
+				tailEv[ev.Kind]++
+			}
+		}
+	})
+	out.Tail = computeTail(svc, latency, wait, measured, p999, allEv, tailEv)
+	if evCount != nil {
+		out.Spans = buildSpans(sp, reqs, svc, latency, wait, evCount)
 	}
 	return out
 }
@@ -689,60 +715,11 @@ var spanID = span.ID
 // completion), then per request — in arrival order — a request span
 // (arrival clock; duration = latency), its queue_wait child, its service
 // child (thread-cycle clock, with the global-clock window, bucket delta,
-// counter window and in-window event counts) and the service span's
-// per-operator phases. Everything is derived from svc/latency/wait and
-// the recorded events; nothing touches the machine.
-func buildSpans(sp Spec, reqs []Request, svc []perReq, latency, wait []float64, events []trace.Event) []span.Span {
+// counter window and the in-window event counts evCount) and the service
+// span's per-operator phases. Everything is derived from svc/latency/wait
+// and evCount; nothing touches the machine.
+func buildSpans(sp Spec, reqs []Request, svc []perReq, latency, wait []float64, evCount []map[string]uint64) []span.Span {
 	base := xrand.New(sp.Seed)
-
-	// Per-thread request windows in service order — ascending both in the
-	// thread-cycle clock (startCy) and the global clock (gStart), since
-	// each thread serves its requests sequentially.
-	byThread := map[int][]int{}
-	for i := range svc {
-		byThread[svc[i].thread] = append(byThread[svc[i].thread], i)
-	}
-
-	// Match each recorded event to the request window it fell inside.
-	// Thread-stamped events carry the thread's cycle account; daemon
-	// events (Thread == -1) carry the machine's global clock and stall
-	// every thread, so they match the in-flight request on each thread
-	// whose global window contains them.
-	evCount := map[int]map[string]uint64{}
-	record := func(i int, ev trace.Event) {
-		mp := evCount[i]
-		if mp == nil {
-			mp = map[string]uint64{}
-			evCount[i] = mp
-		}
-		mp[ev.Kind.String()+"/"+ev.Initiator.String()]++
-	}
-	for _, ev := range events {
-		if ev.Thread >= 0 {
-			wins := byThread[int(ev.Thread)]
-			j := sort.Search(len(wins), func(k int) bool {
-				return svc[wins[k]].startCy > ev.Cycle
-			})
-			if j == 0 {
-				continue
-			}
-			if i := wins[j-1]; ev.Cycle < svc[i].endCy {
-				record(i, ev)
-			}
-			continue
-		}
-		for _, wins := range byThread {
-			j := sort.Search(len(wins), func(k int) bool {
-				return svc[wins[k]].gStart > ev.Cycle
-			})
-			if j == 0 {
-				continue
-			}
-			if i := wins[j-1]; ev.Cycle < svc[i].gEnd {
-				record(i, ev)
-			}
-		}
-	}
 
 	// Session spans: one per distinct session id, in session-id order,
 	// spanning its first arrival to its last completion.
@@ -822,6 +799,48 @@ func buildSpans(sp Spec, reqs []Request, svc []perReq, latency, wait []float64, 
 	return spans
 }
 
+// matchEvents calls fn(i, ev) for every recorded event that fell inside
+// request i's service window. Thread-stamped events carry the serving
+// thread's cycle account and match that thread's window; daemon events
+// (Thread == -1) carry the machine's global clock and stall every thread,
+// so they match the in-flight request on each thread whose global window
+// contains them. Global windows are recorded only with spans on; without
+// them they are all zero and match nothing.
+func matchEvents(svc []perReq, events []trace.Event, fn func(i int, ev trace.Event)) {
+	if len(events) == 0 {
+		return
+	}
+	// Per-thread windows in service order: ascending in both clocks, since
+	// each thread serves its requests sequentially, so a binary search for
+	// the last window starting at or before an event places it.
+	var byThread [][]int
+	for i := range svc {
+		for svc[i].thread >= len(byThread) {
+			byThread = append(byThread, nil)
+		}
+		byThread[svc[i].thread] = append(byThread[svc[i].thread], i)
+	}
+	for _, ev := range events {
+		if ev.Thread >= 0 {
+			if int(ev.Thread) >= len(byThread) {
+				continue
+			}
+			wins := byThread[ev.Thread]
+			j := sort.Search(len(wins), func(k int) bool { return svc[wins[k]].startCy > ev.Cycle })
+			if j > 0 && ev.Cycle < svc[wins[j-1]].endCy {
+				fn(wins[j-1], ev)
+			}
+			continue
+		}
+		for _, wins := range byThread {
+			j := sort.Search(len(wins), func(k int) bool { return svc[wins[k]].gStart > ev.Cycle })
+			if j > 0 && ev.Cycle < svc[wins[j-1]].gEnd {
+				fn(wins[j-1], ev)
+			}
+		}
+	}
+}
+
 func computeMetrics(sp Spec, svc []perReq, latency, wait []float64, measured []int, makespan float64) Metrics {
 	mt := Metrics{Requests: len(measured), Makespan: makespan}
 	if makespan > 0 {
@@ -882,7 +901,10 @@ func computeMetrics(sp Spec, svc []perReq, latency, wait []float64, measured []i
 	return mt
 }
 
-func computeTail(svc []perReq, latency, wait []float64, measured []int, p999 float64, events []trace.Event) Tail {
+// computeTail attributes the p999 tail. allEv and tailEv count, per trace
+// kind, the serving threads' events inside measured and tail requests'
+// service windows.
+func computeTail(svc []perReq, latency, wait []float64, measured []int, p999 float64, allEv, tailEv []float64) Tail {
 	tl := Tail{Threshold: p999}
 	if len(measured) == 0 {
 		return tl
@@ -946,58 +968,16 @@ func computeTail(svc []perReq, latency, wait []float64, measured []int, p999 flo
 	}
 	tl.QueueWait = Component{Name: "queue_wait", All: waitShare(measured), Tail: waitShare(tail)}
 
-	// Trace-event correlation: count events emitted inside each measured
-	// request's service window, per kind. Windows are per-thread and
-	// non-overlapping in thread-cycle order, so a binary search places
-	// each event.
-	if len(events) > 0 {
-		byThread := map[int][]int{}
-		for _, i := range measured {
-			byThread[svc[i].thread] = append(byThread[svc[i].thread], i)
+	// Mean events per request by kind, all vs tail.
+	for _, k := range trace.Kinds() {
+		if allEv[k] == 0 && tailEv[k] == 0 {
+			continue
 		}
-		inTail := make(map[int]bool, len(tail))
-		for _, i := range tail {
-			inTail[i] = true
+		c := Component{Name: "event:" + k.String(), All: allEv[k] / float64(len(measured))}
+		if len(tail) > 0 {
+			c.Tail = tailEv[k] / float64(len(tail))
 		}
-		allCounts := make([]float64, len(trace.Kinds()))
-		tailCounts := make([]float64, len(trace.Kinds()))
-		matched := false
-		for _, ev := range events {
-			wins := byThread[int(ev.Thread)]
-			if ev.Thread < 0 || len(wins) == 0 || int(ev.Kind) >= len(allCounts) {
-				continue
-			}
-			// First window starting after the event, then step back one.
-			j := sort.Search(len(wins), func(k int) bool {
-				return svc[wins[k]].startCy > ev.Cycle
-			})
-			if j == 0 {
-				continue
-			}
-			i := wins[j-1]
-			if ev.Cycle >= svc[i].endCy {
-				continue
-			}
-			matched = true
-			allCounts[ev.Kind]++
-			if inTail[i] {
-				tailCounts[ev.Kind]++
-			}
-		}
-		if matched {
-			nAll := float64(len(measured))
-			nTail := float64(len(tail))
-			for _, k := range trace.Kinds() {
-				if allCounts[k] == 0 && tailCounts[k] == 0 {
-					continue
-				}
-				c := Component{Name: "event:" + k.String(), All: allCounts[k] / nAll}
-				if nTail > 0 {
-					c.Tail = tailCounts[k] / nTail
-				}
-				tl.Events = append(tl.Events, c)
-			}
-		}
+		tl.Events = append(tl.Events, c)
 	}
 	return tl
 }
@@ -1005,17 +985,24 @@ func computeTail(svc []perReq, latency, wait []float64, measured []int, p999 flo
 // calRequests bounds the closed-loop calibration run's length.
 const calRequests = 128
 
-var (
-	calMu   sync.Mutex
-	calMemo = map[string]float64{}
-)
+// calKey identifies one calibration: the machine, the worker count and
+// the request-stream and dataset sizing.
+type calKey struct {
+	machine                      string
+	workers, requests            int
+	dataRows, dataCard, joinRows int
+	tpchSF                       float64
+	seed                         uint64
+}
 
-// newMachineByName builds a fresh machine from its spec name ("Machine A",
-// ...), so calibration can mirror a trial machine without aliasing it.
-func newMachineByName(name string) *machine.Machine {
-	for _, s := range machine.Specs() {
+var calMemo memo.Table[calKey, float64]
+
+// specByName resolves a spec name ("Machine A", ...), so calibration can
+// mirror a trial machine on a fresh one without aliasing it.
+func specByName(name string) machine.Spec {
+	for _, s := range machine.AllSpecs() {
 		if s.Name == name {
-			return machine.New(s)
+			return s
 		}
 	}
 	panic("serve: unknown machine " + name)
@@ -1032,29 +1019,22 @@ func CalibratedMeanService(machineName string, sp Spec) float64 {
 	if sp.Requests > calRequests {
 		sp.Requests = calRequests
 	}
-	key := fmt.Sprintf("%s/w%d/n%d/d%d.%d/j%d/sf%g/s%d", machineName, sp.Workers,
-		sp.Requests, sp.DataRows, sp.DataCard, sp.JoinRows, sp.TPCHSF, sp.Seed)
-	calMu.Lock()
-	v, ok := calMemo[key]
-	calMu.Unlock()
-	if ok {
-		return v
-	}
-	m := newMachineByName(machineName)
-	m.Configure(machine.DefaultConfig(sp.Workers))
-	reqs := Arrivals(sp)
-	w := prepare(m, sp)
-	m.ResetCounters()
-	svc, _ := measureService(m, w, reqs, sp.Workers)
-	total := 0.0
-	for i := range svc {
-		total += svc[i].service
-	}
-	mean := total / float64(len(svc))
-	calMu.Lock()
-	calMemo[key] = mean
-	calMu.Unlock()
-	return mean
+	spec := specByName(machineName)
+	key := calKey{machineName, sp.Workers, sp.Requests,
+		sp.DataRows, sp.DataCard, sp.JoinRows, sp.TPCHSF, sp.Seed}
+	return calMemo.Get(key, func() float64 {
+		m := machine.New(spec)
+		m.Configure(machine.DefaultConfig(sp.Workers))
+		reqs := Arrivals(sp)
+		w := prepare(m, sp)
+		m.ResetCounters()
+		svc, _ := measureService(m, w, reqs, sp.Workers)
+		total := 0.0
+		for i := range svc {
+			total += svc[i].service
+		}
+		return total / float64(len(svc))
+	})
 }
 
 // GapFor converts a calibrated mean service time into the open-loop mean

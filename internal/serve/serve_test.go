@@ -3,9 +3,12 @@ package serve
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/trace"
+	"repro/internal/xrand"
 )
 
 // tinySpec keeps unit-test runs fast: small datasets, short stream.
@@ -169,18 +172,22 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestCalibrationAndSLOs checks the calibration helpers: the memoized mean
-// is stable, the derived gap offers the requested utilization, and the SLO
-// ladder scales off the mean.
+// TestCalibrationAndSLOs checks the calibration helpers: every preset a
+// campaign can select calibrates (D and E included, which WS campaigns
+// reach with -machine D/E), the memoized mean is stable, the derived gap
+// offers the requested utilization, and the SLO ladder scales off the mean.
 func TestCalibrationAndSLOs(t *testing.T) {
 	sp := tinySpec()
+	for _, spec := range machine.AllSpecs() {
+		mean := CalibratedMeanService(spec.Name, sp)
+		if mean <= 0 || math.IsNaN(mean) {
+			t.Fatalf("%s: calibrated mean %v, want positive", spec.Name, mean)
+		}
+		if again := CalibratedMeanService(spec.Name, sp); again != mean {
+			t.Errorf("%s: memoized calibration drifted: %v then %v", spec.Name, mean, again)
+		}
+	}
 	mean := CalibratedMeanService("Machine A", sp)
-	if mean <= 0 || math.IsNaN(mean) {
-		t.Fatalf("calibrated mean %v, want positive", mean)
-	}
-	if again := CalibratedMeanService("Machine A", sp); again != mean {
-		t.Errorf("memoized calibration drifted: %v then %v", mean, again)
-	}
 	gap := GapFor(mean, 4, 0.5)
 	if want := mean / 2; math.Abs(gap-want) > 1e-9 {
 		t.Errorf("gap %v, want %v", gap, want)
@@ -193,5 +200,88 @@ func TestCalibrationAndSLOs(t *testing.T) {
 		if slos[i] <= slos[i-1] {
 			t.Errorf("SLO ladder not ascending: %v", slos)
 		}
+	}
+}
+
+// TestCalibrationConcurrentCallersShareOneRun: concurrent calibrations of
+// one key run the closed-loop measurement once and all read its value, as
+// parallel campaign trials on one machine do.
+func TestCalibrationConcurrentCallersShareOneRun(t *testing.T) {
+	calMemo.Reset()
+	sp := tinySpec()
+	got := make([]float64, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = CalibratedMeanService("Machine A", sp)
+		}(i)
+	}
+	wg.Wait()
+	if _, misses := calMemo.Stats(); misses != 1 {
+		t.Errorf("%d calibrations for one key, want 1", misses)
+	}
+	for i := range got {
+		if got[i] != got[0] || got[i] <= 0 {
+			t.Errorf("caller %d read %v, caller 0 read %v", i, got[i], got[0])
+		}
+	}
+}
+
+// TestMatchEventsAgainstLinearScan checks the binary-search matcher against
+// its definition, scanned linearly: a thread-stamped event matches the
+// request on its thread whose [startCy, endCy) holds its cycle, and a
+// daemon event (Thread -1) matches, on each thread, the request whose
+// [gStart, gEnd) holds it. Windows are sequential per thread, with gaps
+// and zero-length windows; events carry their index in Addr.
+func TestMatchEventsAgainstLinearScan(t *testing.T) {
+	const threads, perThread = 4, 40
+	r := xrand.New(5)
+	svc := make([]perReq, threads*perThread)
+	for th := 0; th < threads; th++ {
+		var cy, g float64
+		for k := 0; k < perThread; k++ {
+			cy += float64(r.Uint64n(3))
+			g += float64(r.Uint64n(3))
+			n := float64(r.Uint64n(4))
+			svc[th+k*threads] = perReq{thread: th, startCy: cy, endCy: cy + n, gStart: g, gEnd: g + n}
+			cy, g = cy+n, g+n
+		}
+	}
+	events := make([]trace.Event, 3000)
+	for n := range events {
+		events[n] = trace.Event{
+			Thread: int32(r.Uint64n(threads+2)) - 1, // -1 (daemon) through one thread with no windows
+			Cycle:  float64(r.Uint64n(5 * perThread)),
+			Addr:   uint64(n),
+		}
+	}
+
+	type match struct{ req, ev int }
+	var got, want []match
+	matchEvents(svc, events, func(i int, ev trace.Event) { got = append(got, match{i, int(ev.Addr)}) })
+	for n, ev := range events {
+		for th := 0; th < threads; th++ {
+			if ev.Thread >= 0 && int(ev.Thread) != th {
+				continue
+			}
+			for i := th; i < len(svc); i += threads {
+				lo, hi := svc[i].startCy, svc[i].endCy
+				if ev.Thread < 0 {
+					lo, hi = svc[i].gStart, svc[i].gEnd
+				}
+				if lo <= ev.Cycle && ev.Cycle < hi {
+					want = append(want, match{i, n})
+				}
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no event fell inside a window; the test data exercises nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("matchEvents made %d matches, linear scan %d (first: %v vs %v)",
+			len(got), len(want), got[:min(len(got), 5)], want[:min(len(want), 5)])
 	}
 }

@@ -63,12 +63,6 @@ var ShipModes = []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK
 // Ship instructions (l_shipinstruct).
 var ShipInstructs = []string{"COLLECT COD", "DELIVER IN PERSON", "NONE", "TAKE BACK RETURN"}
 
-// Return flags (l_returnflag) and line statuses (l_linestatus).
-var (
-	ReturnFlags  = []string{"A", "N", "R"}
-	LineStatuses = []string{"F", "O"}
-)
-
 // Part naming domains.
 var (
 	// Colors appear in p_name; 92 in the spec, the count is what matters

@@ -167,9 +167,6 @@ func (m *Memory) SetPolicy(p Policy, preferred topology.NodeID) {
 	m.preferred = preferred
 }
 
-// Policy returns the active placement policy.
-func (m *Memory) Policy() Policy { return m.policy }
-
 // SetTrace attaches an event sink. now supplies the virtual cycle stamp
 // and acting thread id for each event (the machine layer reads them from
 // its scheduler state). A nil sink disables tracing; every emission site
@@ -620,6 +617,3 @@ func (m *Memory) NodeUsed(n topology.NodeID) uint64 { return m.used[n] }
 
 // MappedBytes returns total mapped physical memory (the simulated RSS).
 func (m *Memory) MappedBytes() uint64 { return m.Mapped * PageSize }
-
-// Nodes returns the number of NUMA nodes.
-func (m *Memory) Nodes() int { return m.topo.Nodes() }

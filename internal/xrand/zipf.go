@@ -47,6 +47,3 @@ func (z *Zipf) Uint64() uint64 {
 	u := z.r.Float64()
 	return uint64(sort.SearchFloat64s(z.cdf, u))
 }
-
-// N returns the size of the sampler's support.
-func (z *Zipf) N() uint64 { return uint64(len(z.cdf)) }

@@ -20,32 +20,9 @@ Usage:
       way and writing the comparison (for the CI artifact) when --out is
       given.
 
-Gated ratios (each "X_vs_scalar" is ns/op of X over ns/op of scalar/plain):
-  batched_vs_scalar, strided_vs_scalar, writerun_vs_scalar — the fast path
-  must stay fast relative to the scalar walk;
-  traced_overhead_{scalar,batched}, profiled_overhead_{scalar,batched} —
-  observation hooks must stay hoisted out of the inner loop;
-  fig2_cal_vs_scalar — end-to-end probe: fig2-cal wall seconds divided by
-  scalar ns/op, i.e. the experiment's cost in equivalent scalar accesses;
-  serve_vs_scalar — end-to-end probe of the open-loop serving experiment
-  (fixed Tiny stream), normalized the same way. Present only when the
-  bench output includes BenchmarkServe;
-  adapt_overhead_vs_off — the placement orchestrator's fixed cost: the
-  adapt steady cell with the daemon attached over the same cell without
-  it. Present only when the bench output includes
-  BenchmarkOrchestratorOverhead;
-  spans_overhead_vs_off — request-span collection cost: the serving
-  experiment's fixed Tiny stream with span assembly on over the same
-  stream with it off. Span collection is observation-only in simulated
-  time, so this ratio is pure harness bookkeeping. Present only when the
-  bench output includes BenchmarkServeSpans;
-  mpsm_vs_hashjoin — the NUMA-aware MPSM sort-merge join over the
-  flowchart-tuned hash join on identical fixed tables: both sides run
-  the same simulator access path, so the ratio transfers across host
-  CPUs. Present only when the bench output includes BenchmarkMPSMJoin;
-  chunked_scan_vs_single — the TPC-H Q1 scan on per-node chunked storage
-  over the same scan on a single region, identical knobs. Present only
-  when the bench output includes BenchmarkChunkedScan.
+Gated ratios: each row of RATIOS below is ns/op of one benchmark over ns/op
+of another. Required rows need their probes in every bench run; the others
+are computed only when the bench output includes both of their probes.
 """
 import argparse
 import json
@@ -75,62 +52,54 @@ def parse_bench(path):
     return out
 
 
+SCALAR = "BenchmarkAccessPath/scalar/plain"
+BATCHED = "BenchmarkAccessPath/batched/plain"
+
+# (ratio, numerator, denominator, required).
+RATIOS = [
+    # The fast path must stay fast relative to the scalar walk.
+    ("batched_vs_scalar", BATCHED, SCALAR, True),
+    ("strided_vs_scalar", "BenchmarkAccessPath/strided/plain", SCALAR, True),
+    ("writerun_vs_scalar", "BenchmarkAccessPathWriteRun", SCALAR, False),
+    # Observation hooks must stay hoisted out of the inner loop.
+    ("traced_overhead_scalar", "BenchmarkAccessPath/scalar/traced", SCALAR, True),
+    ("traced_overhead_batched", "BenchmarkAccessPath/batched/traced", BATCHED, True),
+    ("profiled_overhead_scalar", "BenchmarkAccessPath/scalar/profiled", SCALAR, True),
+    ("profiled_overhead_batched", "BenchmarkAccessPath/batched/profiled", BATCHED, True),
+    # End-to-end probes over the scalar path: each probe's cost in
+    # equivalent scalar accesses, which transfers across machines. fig2-cal
+    # wall time may also come from --fig2-seconds; the serving probe runs a
+    # fixed Tiny stream.
+    ("fig2_cal_vs_scalar", "BenchmarkAccessPathFig2Cal", SCALAR, False),
+    ("serve_vs_scalar", "BenchmarkServe", SCALAR, False),
+    # Same adapt steady cell with and without the placement orchestrator:
+    # the daemon's observation-and-planning overhead, which must stay near 1.
+    ("adapt_overhead_vs_off", "BenchmarkOrchestratorOverhead/on",
+     "BenchmarkOrchestratorOverhead/off", False),
+    # Same serving stream with and without span assembly: simulated time is
+    # bit-identical either way, so this is pure harness bookkeeping.
+    ("spans_overhead_vs_off", "BenchmarkServeSpans/on", "BenchmarkServeSpans/off", False),
+    # NUMA-aware MPSM sort-merge join over the flowchart-tuned hash join on
+    # identical fixed tables: both run the same simulator access path.
+    ("mpsm_vs_hashjoin", "BenchmarkMPSMJoin/mpsm", "BenchmarkMPSMJoin/hashjoin", False),
+    # TPC-H Q1 scan on per-node chunked storage over a single region, same
+    # knobs: chunked must keep its batched, extent-resolved access pattern.
+    ("chunked_scan_vs_single", "BenchmarkChunkedScan/chunked",
+     "BenchmarkChunkedScan/single", False),
+]
+
+
 def ratios(ns, fig2_seconds):
     """Derive the gated ratios from raw ns/op numbers."""
-    def get(name):
-        key = "BenchmarkAccessPath/" + name
-        if key not in ns:
-            sys.exit(f"bench_gate: missing {key} in bench output")
-        return ns[key]
-
-    if fig2_seconds is None and "BenchmarkAccessPathFig2Cal" in ns:
-        fig2_seconds = ns["BenchmarkAccessPathFig2Cal"] / 1e9
-    scalar = get("scalar/plain")
-    r = {
-        "batched_vs_scalar": get("batched/plain") / scalar,
-        "strided_vs_scalar": get("strided/plain") / scalar,
-        "traced_overhead_scalar": get("scalar/traced") / scalar,
-        "traced_overhead_batched": get("batched/traced") / get("batched/plain"),
-        "profiled_overhead_scalar": get("scalar/profiled") / scalar,
-        "profiled_overhead_batched": get("batched/profiled") / get("batched/plain"),
-    }
-    if "BenchmarkAccessPathWriteRun" in ns:
-        r["writerun_vs_scalar"] = ns["BenchmarkAccessPathWriteRun"] / scalar
-    if "BenchmarkServe" in ns:
-        # The serving probe runs a fixed Tiny stream, so its ns/op over the
-        # scalar path is a machine-independent end-to-end serving cost.
-        r["serve_vs_scalar"] = ns["BenchmarkServe"] / scalar
-    on = ns.get("BenchmarkOrchestratorOverhead/on")
-    off = ns.get("BenchmarkOrchestratorOverhead/off")
-    if on is not None and off is not None:
-        # Same workload with and without the orchestrator attached: the
-        # ratio is the daemon's observation-and-planning overhead and must
-        # stay near 1.
-        r["adapt_overhead_vs_off"] = on / off
-    son = ns.get("BenchmarkServeSpans/on")
-    soff = ns.get("BenchmarkServeSpans/off")
-    if son is not None and soff is not None:
-        # Same serving stream with and without span assembly: simulated
-        # time is bit-identical either way, so the ratio is the harness's
-        # span-bookkeeping cost and must stay bounded.
-        r["spans_overhead_vs_off"] = son / soff
-    hj = ns.get("BenchmarkMPSMJoin/hashjoin")
-    mp = ns.get("BenchmarkMPSMJoin/mpsm")
-    if hj is not None and mp is not None:
-        # NUMA-aware sort-merge join vs the tuned hash join on identical
-        # fixed tables: a regression to either operator's simulated-work
-        # shape moves this ratio.
-        r["mpsm_vs_hashjoin"] = mp / hj
-    ss = ns.get("BenchmarkChunkedScan/single")
-    cs = ns.get("BenchmarkChunkedScan/chunked")
-    if ss is not None and cs is not None:
-        # Per-node chunked storage vs single-region for the same scan:
-        # chunked must keep its batched, extent-resolved access pattern.
-        r["chunked_scan_vs_single"] = cs / ss
     if fig2_seconds is not None:
-        # Seconds -> ns, over ns per scalar access: the probe's cost in
-        # units of "scalar accesses", which transfers across machines.
-        r["fig2_cal_vs_scalar"] = fig2_seconds * 1e9 / scalar
+        ns = dict(ns, BenchmarkAccessPathFig2Cal=fig2_seconds * 1e9)
+    r = {}
+    for name, num, den, required in RATIOS:
+        missing = [k for k in (num, den) if k not in ns]
+        if missing and required:
+            sys.exit(f"bench_gate: missing {missing[0]} in bench output")
+        if not missing:
+            r[name] = ns[num] / ns[den]
     return {k: round(v, 4) for k, v in sorted(r.items())}
 
 
