@@ -54,7 +54,7 @@ func logTables(b *testing.B, i int, tables ...*report.Table) {
 func BenchmarkFig2_AllocatorMicrobench(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(s)
+		r, err := experiments.Fig2(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func BenchmarkFig2_AllocatorMicrobench(b *testing.B) {
 func BenchmarkFig3_AffinityVariance(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig3(s)
+		r, err := experiments.Fig3(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func BenchmarkFig3_AffinityVariance(b *testing.B) {
 func BenchmarkTable3_PlacementProfile(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table3(s)
+		r, err := experiments.Table3(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkTable3_PlacementProfile(b *testing.B) {
 func BenchmarkFig4_SparseVsDense(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(s)
+		r, err := experiments.Fig4(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkFig4_SparseVsDense(b *testing.B) {
 func BenchmarkFig5a_AutoNUMA(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5a(s)
+		r, err := experiments.Fig5a(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func BenchmarkFig5a_AutoNUMA(b *testing.B) {
 func BenchmarkFig5c_THP(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5c(s)
+		r, err := experiments.Fig5c(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func BenchmarkFig5c_THP(b *testing.B) {
 func BenchmarkFig5d_Machines(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5d(s)
+		r, err := experiments.Fig5d(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func BenchmarkFig5d_Machines(b *testing.B) {
 func BenchmarkFig6_W1_Allocators(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6W1(s, "A")
+		r, err := experiments.Fig6W1(s, experiments.Options{}, "A")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func BenchmarkFig6_W1_Allocators(b *testing.B) {
 func BenchmarkFig6_W2_Allocators(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6W2(s, "A")
+		r, err := experiments.Fig6W2(s, experiments.Options{}, "A")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func BenchmarkFig6_W2_Allocators(b *testing.B) {
 func BenchmarkFig6_W3_Allocators(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6W3(s, "A")
+		r, err := experiments.Fig6W3(s, experiments.Options{}, "A")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkFig6_W3_Allocators(b *testing.B) {
 func BenchmarkFig6j_Distributions(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6j(s)
+		r, err := experiments.Fig6j(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func BenchmarkFig7_INLJ_Indexes(b *testing.B) {
 		var tabs []*report.Table
 		var grids []experiments.Fig7Result
 		for _, k := range index.Kinds() {
-			r, err := experiments.Fig7(s, k)
+			r, err := experiments.Fig7(s, experiments.Options{}, k)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -193,7 +193,7 @@ func BenchmarkFig7_INLJ_Indexes(b *testing.B) {
 func BenchmarkFig8_TPCH(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(s)
+		r, err := experiments.Fig8(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func BenchmarkFig8_TPCH(b *testing.B) {
 func BenchmarkFig9_TPCHAllocators(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(s)
+		r, err := experiments.Fig9(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func BenchmarkFig9_TPCHAllocators(b *testing.B) {
 func BenchmarkFig10_Advisor(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(s)
+		r, err := experiments.Fig10(s, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func BenchmarkTable2_MachineSpecs(b *testing.B) {
 // comparable across hosts and baselines.
 func BenchmarkServe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Serve(experiments.Tiny, experiments.ServeOptions{})
+		r, err := experiments.Serve(experiments.Tiny, experiments.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -278,10 +278,8 @@ func BenchmarkServeSpans(b *testing.B) {
 		on   bool
 	}{{"off", false}, {"on", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			experiments.SetCellSpans(mode.on)
-			defer experiments.SetCellSpans(false)
 			for i := 0; i < b.N; i++ {
-				r, err := experiments.Serve(experiments.Tiny, experiments.ServeOptions{})
+				r, err := experiments.Serve(experiments.Tiny, experiments.Options{Spans: mode.on})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -300,7 +298,7 @@ func BenchmarkServeSpans(b *testing.B) {
 // benchmarks above, it ignores REPRO_SCALE so gate runs are comparable.
 func BenchmarkAccessPathFig2Cal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig2(experiments.Cal); err != nil {
+		if _, err := experiments.Fig2(experiments.Cal, experiments.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/tune"
@@ -60,15 +61,9 @@ func main() {
 	if !*validate {
 		return
 	}
-	scales := map[string]experiments.Scale{
-		"tiny":    experiments.Tiny,
-		"small":   experiments.Small,
-		"cal":     experiments.Cal,
-		"default": experiments.Default,
-	}
-	s, ok := scales[*scale]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "advisor: unknown scale %q (tiny, small, cal, default)\n", *scale)
+	s, err := cli.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "advisor:", err)
 		os.Exit(2)
 	}
 	wl, err := tune.WorkloadByID(strings.ToUpper(*workload))

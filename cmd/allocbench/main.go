@@ -28,7 +28,7 @@ func main() {
 	}
 	s := experiments.Small
 	s.MicrobenchOps = *ops
-	r, err := experiments.Fig2(s)
+	r, err := experiments.Fig2(s, experiments.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "allocbench:", err)
 		os.Exit(1)

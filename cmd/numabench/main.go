@@ -61,15 +61,6 @@ import (
 	"repro/internal/report"
 )
 
-func scales() map[string]experiments.Scale {
-	return map[string]experiments.Scale{
-		"tiny":    experiments.Tiny,
-		"small":   experiments.Small,
-		"cal":     experiments.Cal,
-		"default": experiments.Default,
-	}
-}
-
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "numabench: %v\n", err)
 	os.Exit(1)
@@ -112,9 +103,9 @@ func main() {
 		}
 		return
 	}
-	s, ok := scales()[*scale]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "numabench: unknown scale %q (tiny, small, cal, default)\n", *scale)
+	s, err := cli.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "numabench: %v\n", err)
 		os.Exit(2)
 	}
 	var todo []string
@@ -147,37 +138,21 @@ func main() {
 		fatal(err)
 	}
 
-	var jsonFile *os.File
-	if shared.JSON != "" {
-		f, err := os.OpenFile(shared.JSON, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		jsonFile = f
-	}
-	if shared.Trace != "" {
-		experiments.SetCellTracing(true)
-	}
-	if shared.Spans != "" {
-		experiments.SetCellSpans(true)
-	}
-	if *breakdown || *foldedPath != "" {
-		experiments.SetCellProfiling(true)
-	}
 	opts := experiments.Options{
-		Serve: experiments.ServeOptions{Requests: *serveReqs, Util: *serveUtil},
-		Adapt: experiments.AdaptOptions{Period: *adaptPer, BudgetFrac: *adaptBud},
+		Trace:   shared.Trace != "",
+		Profile: *breakdown || *foldedPath != "",
+		Spans:   shared.Spans != "",
+		Serve:   experiments.ServeOptions{Requests: *serveReqs, Util: *serveUtil},
+		Adapt:   experiments.AdaptOptions{Period: *adaptPer, BudgetFrac: *adaptBud},
 	}
 	var traced []report.TraceProcess
 	var folded []report.FoldedProfile
 
 	for _, id := range todo {
-		r := core.Runner{Workers: *parallel}
+		opts.Runner = core.Runner{Workers: *parallel}
 		if *progress {
-			r.Progress = core.ProgressWriter(os.Stderr, id, 0)
+			opts.Runner.Progress = core.ProgressWriter(os.Stderr, id, 0)
 		}
-		experiments.SetRunner(r)
 		d, err := experiments.Lookup(id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "numabench: %v\n", err)
@@ -203,8 +178,8 @@ func main() {
 			}
 			fmt.Println()
 		}
-		if jsonFile != nil {
-			if err := experiments.WriteJSONL(jsonFile, res.Records); err != nil {
+		if shared.JSON != "" {
+			if err := cli.AppendJSONL(shared.JSON, res.Records); err != nil {
 				fatal(fmt.Errorf("%s: %w", shared.JSON, err))
 			}
 		}

@@ -74,29 +74,20 @@ func main() {
 	shared.RegisterNoTrace(flag.CommandLine)
 	flag.Parse()
 
-	if shared.Validate != "" {
-		n, err := cli.ValidateTuneJSONL(shared.Validate)
+	if done, err := shared.HandleValidate(os.Stdout); done {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s: %d records, schema %s\n", shared.Validate, n, tune.SchemaVersion)
 		return
 	}
 
-	scales := map[string]experiments.Scale{
-		"tiny":    experiments.Tiny,
-		"small":   experiments.Small,
-		"cal":     experiments.Cal,
-		"default": experiments.Default,
-	}
-	s, ok := scales[*scale]
-	if !ok {
-		usageErr(fmt.Sprintf("unknown scale %q (tiny, small, cal, default)", *scale))
+	s, err := cli.ParseScale(*scale)
+	if err != nil {
+		usageErr(err.Error())
 	}
 
 	space := tune.DefaultSpace()
 	if *freeze != "" {
-		var err error
 		space, err = tune.ParseFreezes(space, *freeze)
 		if err != nil {
 			usageErr(err.Error())

@@ -69,16 +69,7 @@ func harnessRecord(start time.Time, cell string, labels map[string]string,
 		Cell:       cell,
 		Labels:     labels,
 		Machine:    m.Spec.Name,
-		Config: experiments.CellConfig{
-			Threads:       cfg.Threads,
-			Placement:     cfg.Placement.String(),
-			Policy:        cfg.Policy.String(),
-			PreferredNode: int(cfg.PreferredNode),
-			Allocator:     cfg.Allocator,
-			AutoNUMA:      cfg.AutoNUMA,
-			THP:           cfg.THP,
-			Seed:          cfg.Seed,
-		},
+		Config:     experiments.ConfigOf(cfg),
 		Seed:       cfg.Seed,
 		WallCycles: wall,
 		FreqGHz:    m.Spec.FreqGHz,

@@ -1,16 +1,17 @@
 // Package cli holds the flag handling and output plumbing shared by the
-// benchmark commands (numabench, tpchbench): the structured JSONL sink
-// and its validator, Chrome trace collection, folded-stack export, and
-// host pprof profiles. Keeping it in one place guarantees the CLIs agree
-// on flag names, help text and file formats.
+// commands (numabench, numatune, tpchbench, advisor): scale names, the
+// structured JSONL sink and the one -validate dispatcher, Chrome trace
+// collection, folded-stack export, and host pprof profiles. Keeping it
+// in one place guarantees the CLIs agree on flag names, help text and
+// file formats.
 package cli
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -26,13 +27,25 @@ import (
 	"repro/internal/tune"
 )
 
-// snapshotEvery is the counter-snapshot cadence for traced machines, in
-// simulated cycles — the same cadence internal/experiments uses for its
-// traced grid cells, so counter tracks line up across the two CLIs.
-const snapshotEvery = 1e5
+// scales maps each -scale name to its experiment scale.
+var scales = map[string]experiments.Scale{
+	"tiny":    experiments.Tiny,
+	"small":   experiments.Small,
+	"cal":     experiments.Cal,
+	"default": experiments.Default,
+}
 
-// Flags are the output flags both benchmark CLIs share. Register installs
-// them; the zero value means "off" for every feature.
+// ParseScale resolves a -scale flag value.
+func ParseScale(name string) (experiments.Scale, error) {
+	s, ok := scales[name]
+	if !ok {
+		return experiments.Scale{}, fmt.Errorf("unknown scale %q (tiny, small, cal, default)", name)
+	}
+	return s, nil
+}
+
+// Flags are the output flags the CLIs share. Register installs them; the
+// zero value means "off" for every feature.
 type Flags struct {
 	JSON       string // -json: JSONL append path
 	Trace      string // -trace: Chrome trace-event output path
@@ -60,68 +73,57 @@ func (f *Flags) RegisterNoTrace(fs *flag.FlagSet) {
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a host pprof heap profile to this file")
 }
 
-// HandleValidate runs the -validate action when requested: it sniffs the
-// file's schema from its first line and checks it against the matching
-// strict reader — experiment records (repro/bench/*), request spans
-// (repro/spans/v1) or tune campaigns (repro/tune/v1) — then prints a
-// one-line summary. It reports whether the flag was set (the command
-// should exit afterwards).
-func (f *Flags) HandleValidate(w *os.File) (bool, error) {
+// validators are the strict readers -validate dispatches to, keyed by
+// schema family. A file whose first line names no known family goes to
+// the last one, the experiment-record reader, whose error names the
+// schema it wants.
+var validators = []struct {
+	family, noun, schema string
+	count                func(io.Reader) (int, error)
+}{
+	{"repro/spans/", "spans", span.Schema, count(span.ReadJSONL)},
+	{"repro/tune/", "trials", tune.SchemaVersion, count(tune.ReadJSONL)},
+	{"repro/bench/", "records", experiments.SchemaVersion, count(experiments.ReadJSONL)},
+}
+
+// count adapts a strict reader to report how many values it accepted.
+func count[T any](read func(io.Reader) ([]T, error)) func(io.Reader) (int, error) {
+	return func(r io.Reader) (int, error) {
+		vs, err := read(r)
+		return len(vs), err
+	}
+}
+
+// HandleValidate runs the -validate action when requested: the schema on
+// the file's first line picks the strict reader from validators, which
+// checks the whole file, and a one-line summary goes to w. It reports
+// whether the flag was set (the command should exit afterwards).
+func (f *Flags) HandleValidate(w io.Writer) (bool, error) {
 	if f.Validate == "" {
 		return false, nil
 	}
-	schema, err := sniffSchema(f.Validate)
+	data, err := os.ReadFile(f.Validate)
 	if err != nil {
 		return true, err
 	}
-	switch {
-	case strings.HasPrefix(schema, "repro/spans/"):
-		n, err := ValidateSpansJSONL(f.Validate)
-		if err != nil {
-			return true, err
-		}
-		fmt.Fprintf(w, "%s: %d spans, schema %s\n", f.Validate, n, span.Schema)
-	case strings.HasPrefix(schema, "repro/tune/"):
-		n, err := ValidateTuneJSONL(f.Validate)
-		if err != nil {
-			return true, err
-		}
-		fmt.Fprintf(w, "%s: %d trials, schema %s\n", f.Validate, n, tune.SchemaVersion)
-	default:
-		n, err := ValidateJSONL(f.Validate)
-		if err != nil {
-			return true, err
-		}
-		fmt.Fprintf(w, "%s: %d records, schema %s\n", f.Validate, n, experiments.SchemaVersion)
+	first, _, _ := bytes.Cut(bytes.TrimSpace(data), []byte("\n"))
+	var head struct {
+		Schema string `json:"schema"`
 	}
-	return true, nil
-}
-
-// sniffSchema reads the schema field off a JSONL file's first non-empty
-// line, so -validate can dispatch to the right strict reader. An empty
-// or schemaless first line returns "", which falls through to the
-// experiment-record reader (whose error message names the schema).
-func sniffSchema(path string) (string, error) {
-	f, err := os.Open(path)
+	_ = json.Unmarshal(first, &head) // the strict reader reports a malformed line
+	v := validators[len(validators)-1]
+	for _, c := range validators {
+		if strings.HasPrefix(head.Schema, c.family) {
+			v = c
+			break
+		}
+	}
+	n, err := v.count(bytes.NewReader(data))
 	if err != nil {
-		return "", err
+		return true, fmt.Errorf("%s: %w", f.Validate, err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			Schema string `json:"schema"`
-		}
-		// Ignore decode errors: the strict reader will report them better.
-		_ = json.Unmarshal(line, &probe)
-		return probe.Schema, nil
-	}
-	return "", sc.Err()
+	fmt.Fprintf(w, "%s: %d %s, schema %s\n", f.Validate, n, v.noun, v.schema)
+	return true, nil
 }
 
 // StartHostProfiles starts the CPU profile when -cpuprofile is set and
@@ -147,77 +149,37 @@ func (f *Flags) StartHostProfiles() (stop func() error, err error) {
 				return err
 			}
 		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return err
-			}
-			runtime.GC() // materialize up-to-date heap statistics
-			if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
+		if memPath == "" {
+			return nil
 		}
-		return nil
+		runtime.GC() // materialize up-to-date heap statistics
+		return writeFile(memPath, os.O_TRUNC, func(w io.Writer) error { return pprof.Lookup("heap").WriteTo(w, 0) })
 	}, nil
 }
 
-// AppendJSONL appends records to path, creating the file if needed.
-func AppendJSONL(path string, recs []experiments.Record) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+// writeFile opens path for writing with the extra open flag (O_APPEND or
+// O_TRUNC), creating it if needed, hands it to write, and closes it.
+func writeFile(path string, flag int, write func(io.Writer) error) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|flag, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := experiments.WriteJSONL(f, recs); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// ValidateSpansJSONL checks a span artifact against the repro/spans/v1
-// strict reader and returns the span count.
-func ValidateSpansJSONL(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	spans, err := span.ReadJSONL(f)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return len(spans), nil
+// AppendJSONL appends records to path, creating the file if needed.
+func AppendJSONL(path string, recs []experiments.Record) error {
+	return writeFile(path, os.O_APPEND, func(w io.Writer) error { return experiments.WriteJSONL(w, recs) })
 }
 
 // WriteSpans appends request spans to path as repro/spans/v1 JSONL,
 // creating the file if needed — the span counterpart of AppendJSONL.
 func WriteSpans(path string, spans []span.Span) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := span.WriteJSONL(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ValidateTuneJSONL checks a campaign artifact against the repro/tune/v1
-// strict reader and returns the record count.
-func ValidateTuneJSONL(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	recs, err := tune.ReadJSONL(f)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return len(recs), nil
+	return writeFile(path, os.O_APPEND, func(w io.Writer) error { return span.WriteJSONL(w, spans) })
 }
 
 // CacheSummary formats the dataset and TPC-H memo-cache counters in one
@@ -230,26 +192,12 @@ func CacheSummary() string {
 		dh, dm, th, tm)
 }
 
-// ValidateJSONL checks path against the strict schema reader and returns
-// the record count.
-func ValidateJSONL(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	recs, err := experiments.ReadJSONL(f)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return len(recs), nil
-}
-
 // AttachTrace wires an event recorder and periodic counter snapshots to a
 // machine the caller built directly (the tpchbench path; experiment grid
-// cells get theirs from SetCellTracing instead).
+// cells get theirs from experiments.Options.Trace instead), at the
+// experiments' snapshot cadence.
 func AttachTrace(m *machine.Machine) {
-	m.Observe(machine.ObserveOptions{Trace: true, SnapEvery: snapshotEvery})
+	m.Observe(machine.ObserveOptions{Trace: true, SnapEvery: experiments.SnapEvery})
 }
 
 // TraceOf reads the recorder and snapshots off a machine AttachTrace was
@@ -269,7 +217,7 @@ func TraceOf(name string, m *machine.Machine) (tp report.TraceProcess, ok bool) 
 }
 
 // RecordTraces collects the trace processes of an experiment result's
-// records (populated when SetCellTracing was on), named id/cell. Spans
+// records (populated under experiments.Options.Trace), named id/cell. Spans
 // collected for a cell ride on its process, so the Chrome trace shows
 // request lifelines and flow arrows over the machine tracks.
 func RecordTraces(res *experiments.Result) []report.TraceProcess {
@@ -298,7 +246,7 @@ func RecordTraces(res *experiments.Result) []report.TraceProcess {
 }
 
 // RecordFolded collects the folded-stack profiles of an experiment
-// result's records (populated when SetCellProfiling was on), named
+// result's records (populated under experiments.Options.Profile), named
 // id/cell — the exact layout the determinism tests pin down.
 func RecordFolded(res *experiments.Result) []report.FoldedProfile {
 	var profs []report.FoldedProfile
@@ -318,28 +266,12 @@ func RecordFolded(res *experiments.Result) []report.FoldedProfile {
 // WriteChromeTrace writes the collected processes as one Chrome
 // trace-event file loadable in Perfetto or speedscope.
 func WriteChromeTrace(path string, procs []report.TraceProcess) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.ChromeTrace(f, procs...); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, os.O_TRUNC, func(w io.Writer) error { return report.ChromeTrace(w, procs...) })
 }
 
 // WriteFolded writes the collected profiles in folded-stack format, one
 // frame line per (process, thread, component) — load directly into
 // speedscope or flamegraph.pl.
 func WriteFolded(path string, profs []report.FoldedProfile) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.FoldedStacks(f, profs...); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeFile(path, os.O_TRUNC, func(w io.Writer) error { return report.FoldedStacks(w, profs...) })
 }

@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/span"
+	"repro/internal/tune"
 )
 
 // TestFlagParity pins the shared flag names: both CLIs register this
@@ -40,6 +43,18 @@ func testRecord(cell string) experiments.Record {
 	}
 }
 
+// validate runs the -validate dispatcher on path and returns its summary
+// line.
+func validate(path string) (string, error) {
+	var out bytes.Buffer
+	f := Flags{Validate: path}
+	done, err := f.HandleValidate(&out)
+	if !done {
+		return "", errors.New("HandleValidate ignored -validate")
+	}
+	return out.String(), err
+}
+
 func TestAppendAndValidateJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.jsonl")
 	if err := AppendJSONL(path, []experiments.Record{testRecord("a")}); err != nil {
@@ -49,23 +64,25 @@ func TestAppendAndValidateJSONL(t *testing.T) {
 	if err := AppendJSONL(path, []experiments.Record{testRecord("b")}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ValidateJSONL(path)
+	got, err := validate(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("validated %d records, want 2", n)
+	if want := path + ": 2 records, schema repro/bench/v2\n"; got != want {
+		t.Fatalf("validate = %q, want %q", got, want)
 	}
 	if err := os.WriteFile(path, []byte(`{"bogus":1}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateJSONL(path); err == nil {
-		t.Fatal("ValidateJSONL accepted a schemaless record")
+	if _, err := validate(path); err == nil {
+		t.Fatal("-validate accepted a schemaless record")
 	}
 }
 
 // TestWriteAndValidateSpans exercises the span JSONL plumbing and the
-// schema-dispatching -validate path on both file types.
+// schema-dispatching -validate path on every artifact type: each file
+// validates under its own reader, and data after a line's object is
+// rejected with that line named.
 func TestWriteAndValidateSpans(t *testing.T) {
 	dir := t.TempDir()
 	spath := filepath.Join(dir, "s.jsonl")
@@ -76,30 +93,44 @@ func TestWriteAndValidateSpans(t *testing.T) {
 	if err := WriteSpans(spath, spans); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ValidateSpansJSONL(spath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("validated %d spans, want 2", n)
-	}
-
-	// HandleValidate must dispatch by schema: a span file validates as
-	// spans, a record file as records, and a span file fed to the record
-	// reader would have failed — so a passing dispatch proves the sniff.
 	rpath := filepath.Join(dir, "r.jsonl")
-	if err := AppendJSONL(rpath, []experiments.Record{testRecord("a")}); err != nil {
+	if err := AppendJSONL(rpath, []experiments.Record{testRecord("a"), testRecord("b")}); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{spath, rpath} {
-		f := Flags{Validate: p}
-		done, err := f.HandleValidate(os.Stdout)
-		if !done || err != nil {
-			t.Fatalf("HandleValidate(%s) = %v, %v", p, done, err)
-		}
+	tpath := filepath.Join(dir, "t.jsonl")
+	trial := tune.Record{Campaign: "sha/W1/A", Key: "k", Point: tune.PointJSON{
+		Placement: "Sparse", Policy: "First Touch", Allocator: "ptmalloc", AutoNUMA: "off", THP: "off",
+	}}
+	var tb bytes.Buffer
+	if err := tune.WriteJSONL(&tb, []tune.Record{trial, trial}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ValidateSpansJSONL(rpath); err == nil {
-		t.Fatal("ValidateSpansJSONL accepted a bench-record file")
+	if err := os.WriteFile(tpath, tb.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, want string }{
+		{spath, "2 spans, schema repro/spans/v1"},
+		{rpath, "2 records, schema repro/bench/v2"},
+		{tpath, "2 trials, schema repro/tune/v1"},
+	} {
+		got, err := validate(c.path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		if want := c.path + ": " + c.want + "\n"; got != want {
+			t.Errorf("validate = %q, want %q", got, want)
+		}
+		data, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trailing := append(bytes.TrimSuffix(data, []byte("\n")), " ]\n"...)
+		if err := os.WriteFile(c.path, trailing, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := validate(c.path); err == nil || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("%s: trailing data on line 2 gave %v", c.path, err)
+		}
 	}
 }
 
@@ -158,11 +189,9 @@ func TestRecordCollectors(t *testing.T) {
 // exactly its own Cell-stamped spans, so the Chrome trace renders request
 // lifelines next to that cell's machine events.
 func TestRecordTracesCarrySpans(t *testing.T) {
-	experiments.SetCellTracing(true)
-	experiments.SetCellSpans(true)
-	defer experiments.SetCellTracing(false)
-	defer experiments.SetCellSpans(false)
-	r, err := experiments.Serve(experiments.Tiny, experiments.ServeOptions{Requests: 64})
+	r, err := experiments.Serve(experiments.Tiny, experiments.Options{
+		Trace: true, Spans: true, Serve: experiments.ServeOptions{Requests: 64},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

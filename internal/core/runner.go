@@ -47,30 +47,23 @@ func (r Runner) workers(n int) int {
 	return w
 }
 
-// CellError reports the failure of one grid cell: the cell's index and
-// label, the underlying error, and — when the cell panicked — the captured
-// stack trace. Panics inside cells are recovered and converted to
-// CellErrors so one malformed cell fails the grid cleanly instead of
-// crashing the whole process mid-sweep.
+// CellError reports the failure of one grid cell: the cell's index, the
+// underlying error, and — when the cell panicked — the captured stack
+// trace. Panics inside cells are recovered and converted to CellErrors so
+// one malformed cell fails the grid cleanly instead of crashing the whole
+// process mid-sweep.
 type CellError struct {
 	Index int
-	Label string
 	Err   error
 	Stack []byte // non-nil when the cell panicked
 }
 
 // Error implements error.
 func (e *CellError) Error() string {
-	name := e.Label
-	if name == "" {
-		name = fmt.Sprintf("cell %d", e.Index)
-	} else {
-		name = fmt.Sprintf("cell %d (%s)", e.Index, e.Label)
-	}
 	if e.Stack != nil {
-		return fmt.Sprintf("core: %s panicked: %v", name, e.Err)
+		return fmt.Sprintf("core: cell %d panicked: %v", e.Index, e.Err)
 	}
-	return fmt.Sprintf("core: %s: %v", name, e.Err)
+	return fmt.Sprintf("core: cell %d: %v", e.Index, e.Err)
 }
 
 // Unwrap exposes the underlying error.

@@ -32,7 +32,7 @@ type ablation struct {
 
 // Ablate runs the headline W1 experiment under each ablation of the cost
 // model.
-func Ablate(s Scale) (AblationResult, error) {
+func Ablate(s Scale, o Options) (AblationResult, error) {
 	cases := []ablation{
 		{"full model", func(m *machine.Machine) {}},
 		{"no controller contention", func(m *machine.Machine) {
@@ -64,7 +64,7 @@ func Ablate(s Scale) (AblationResult, error) {
 		cycles float64
 		rec    Record
 	}
-	cells, err := core.Collect(runner, len(cases)*configs, func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(cases)*configs, func(i int) (cell, error) {
 		start := startCell()
 		c := cases[i/configs]
 		var cfg machine.RunConfig
@@ -76,7 +76,7 @@ func Ablate(s Scale) (AblationResult, error) {
 		} else {
 			cfg = machine.TunedConfig(16)
 		}
-		m := machineFor("A")
+		m := o.machineFor("A")
 		c.tweak(m)
 		m.Configure(cfg)
 		w := runW1(m, s, datagen.MovingClusterDist).Result.WallCycles
@@ -124,16 +124,16 @@ type PolicySensitivityResult struct {
 }
 
 // PolicySensitivity measures W1 under Preferred for every target node.
-func PolicySensitivity(s Scale) (PolicySensitivityResult, error) {
+func PolicySensitivity(s Scale, o Options) (PolicySensitivityResult, error) {
 	var out PolicySensitivityResult
-	nodes := machineFor("A").Spec.Topo.Nodes()
+	nodes := o.machineFor("A").Spec.Topo.Nodes()
 	type cell struct {
 		cycles float64
 		rec    Record
 	}
-	cells, err := core.Collect(runner, nodes, func(n int) (cell, error) {
+	cells, err := core.Collect(o.Runner, nodes, func(n int) (cell, error) {
 		start := startCell()
-		m := machineFor("A")
+		m := o.machineFor("A")
 		cfg := baseConfig(16)
 		cfg.Policy = vmm.Preferred
 		cfg.PreferredNode = topology.NodeID(n)

@@ -86,9 +86,9 @@ func adaptConfigFor(name string, workers int) machine.RunConfig {
 
 // adaptRunCell loads the partitions and runs the phase schedule under one
 // configuration, returning the measured cell and its record.
-func adaptRunCell(s Scale, letter, workload, config string, o AdaptOptions) (AdaptCell, Record) {
+func adaptRunCell(s Scale, o Options, letter, workload, config string) (AdaptCell, Record) {
 	start := startCell()
-	m := machineFor(letter)
+	m := o.machineFor(letter)
 	workers := m.Spec.Topo.Nodes()
 	cfg := adaptConfigFor(config, workers)
 	m.Configure(cfg)
@@ -115,14 +115,7 @@ func adaptRunCell(s Scale, letter, workload, config string, o AdaptOptions) (Ada
 
 	var orch *orchestrator.Orchestrator
 	if config == "adaptive" {
-		oc := orchestrator.DefaultConfig()
-		if o.Period > 0 {
-			oc.Period = o.Period
-		}
-		if o.BudgetFrac > 0 {
-			oc.BudgetFrac = o.BudgetFrac
-		}
-		orch = orchestrator.New(oc)
+		orch = orchestrator.New(o.Adapt.config())
 		orch.Attach(m)
 		defer orch.Detach()
 	}
@@ -233,12 +226,12 @@ func AdaptOverheadProbe(on bool) error {
 	if on {
 		config = "adaptive"
 	}
-	_, _ = adaptRunCell(Scale{AdaptPartKB: Cal.AdaptPartKB}, "A", "steady", config, AdaptOptions{})
+	_, _ = adaptRunCell(Scale{AdaptPartKB: Cal.AdaptPartKB}, Options{}, "A", "steady", config)
 	return nil
 }
 
 // Adapt runs the adaptive placement experiment at a scale.
-func Adapt(s Scale, o AdaptOptions) (AdaptResult, error) {
+func Adapt(s Scale, o Options) (AdaptResult, error) {
 	type idx struct{ mc, wl, cf int }
 	var grid []idx
 	for mi := range adaptMachines {
@@ -252,9 +245,9 @@ func Adapt(s Scale, o AdaptOptions) (AdaptResult, error) {
 		c   AdaptCell
 		rec Record
 	}
-	cells, err := core.Collect(runner, len(grid), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(grid), func(i int) (cell, error) {
 		g := grid[i]
-		c, rec := adaptRunCell(s, adaptMachines[g.mc], adaptWorkloads[g.wl], adaptConfigs[g.cf], o)
+		c, rec := adaptRunCell(s, o, adaptMachines[g.mc], adaptWorkloads[g.wl], adaptConfigs[g.cf])
 		return cell{c, rec}, nil
 	})
 	if err != nil {

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"repro/internal/core"
-)
+import "testing"
 
 // adaptTestScale sizes the partition past Machine A's per-node LLC so the
 // phase schedule generates sustained DRAM traffic; everything else stays
@@ -17,7 +13,7 @@ func runAdaptColumn(t *testing.T, workload string) map[string]AdaptCell {
 	t.Helper()
 	out := map[string]AdaptCell{}
 	for _, cf := range []string{"firsttouch", "interleave", "autonuma", "adaptive"} {
-		c, _ := adaptRunCell(adaptTestScale, "A", workload, cf, AdaptOptions{})
+		c, _ := adaptRunCell(adaptTestScale, Options{}, "A", workload, cf)
 		out[cf] = c
 	}
 	return out
@@ -37,8 +33,6 @@ func adaptStaticBestOf(cells map[string]AdaptCell) AdaptCell {
 // rotates its target partition every phase, the orchestrator beats the
 // best static placement, because no static placement can stay local.
 func TestAdaptBeatsStaticOnPhased(t *testing.T) {
-	SetRunner(core.Runner{Workers: 0})
-	defer SetRunner(core.Runner{})
 	cells := runAdaptColumn(t, "phased")
 	best := adaptStaticBestOf(cells)
 	ad := cells["adaptive"]
@@ -58,8 +52,6 @@ func TestAdaptBeatsStaticOnPhased(t *testing.T) {
 // optimum exists, the orchestrator must not churn — no thread moves, and
 // throughput within 5% of the best static configuration.
 func TestAdaptMatchesStaticOnSteady(t *testing.T) {
-	SetRunner(core.Runner{Workers: 0})
-	defer SetRunner(core.Runner{})
 	cells := runAdaptColumn(t, "steady")
 	best := adaptStaticBestOf(cells)
 	ad := cells["adaptive"]

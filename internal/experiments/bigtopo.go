@@ -25,14 +25,14 @@ type BigTopoResult struct {
 // BigTopo runs the flowchart-regret study on the large-topology machine
 // presets. The campaigns dispatch through the shared trial runner exactly
 // like the tune experiment, so artifacts stay byte-identical across runs.
-func BigTopo(s Scale) (BigTopoResult, error) {
+func BigTopo(s Scale, o Options) (BigTopoResult, error) {
 	size := TuneSize(s)
 	var out BigTopoResult
 	for _, cell := range bigtopoCells {
 		res, err := tune.Run(tune.Spec{
 			Strategy: tune.StrategySHA, Space: tune.DefaultSpace(),
 			Workload: cell[1], Machine: cell[0], Size: size,
-		}, runner, nil, nil, nil)
+		}, o.Runner, nil, nil, nil)
 		if err != nil {
 			return out, err
 		}

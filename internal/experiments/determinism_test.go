@@ -11,14 +11,17 @@ import (
 	"repro/internal/tpch"
 )
 
+// workers is the zero Options with an n-worker grid runner.
+func workers(n int) Options { return Options{Runner: core.Runner{Workers: n}} }
+
 // renderAll runs a driver and flattens its tables into one byte stream.
-func renderAll(t *testing.T, id string, s Scale) string {
+func renderAll(t *testing.T, id string, s Scale, o Options) string {
 	t.Helper()
 	d, err := Lookup(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run(s, Options{})
+	res, err := d.Run(s, o)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -44,17 +47,14 @@ func TestDriversDeterministicUnderParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every driver three times")
 	}
-	defer SetRunner(core.Runner{})
 	for _, id := range Ids() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			resetCaches()
-			SetRunner(core.Runner{Workers: 1})
-			serial := renderAll(t, id, Tiny)
+			serial := renderAll(t, id, Tiny, workers(1))
 
 			resetCaches()
-			SetRunner(core.Runner{Workers: 4})
-			par := renderAll(t, id, Tiny)
+			par := renderAll(t, id, Tiny, workers(4))
 			if par != serial {
 				t.Fatalf("%s: parallel-4 output differs from serial\nserial:\n%s\nparallel:\n%s",
 					id, serial, par)
@@ -62,8 +62,7 @@ func TestDriversDeterministicUnderParallelism(t *testing.T) {
 
 			// Second parallel run without a cache reset: memoized datasets
 			// must not perturb results either.
-			SetRunner(core.Runner{Workers: 4})
-			again := renderAll(t, id, Tiny)
+			again := renderAll(t, id, Tiny, workers(4))
 			if again != par {
 				t.Fatalf("%s: two parallel-4 runs differ", id)
 			}
@@ -74,14 +73,15 @@ func TestDriversDeterministicUnderParallelism(t *testing.T) {
 // traceArtifacts runs fig5a with cell tracing on and returns the Chrome
 // trace export plus the JSONL stream with host_ns normalized to zero —
 // every byte that should be reproducible.
-func traceArtifacts(t *testing.T) (chrome, jsonl []byte) {
+func traceArtifacts(t *testing.T, o Options) (chrome, jsonl []byte) {
 	t.Helper()
 	resetCaches()
 	d, err := Lookup("fig5a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run(Tiny, Options{})
+	o.Trace = true
+	res, err := d.Run(Tiny, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func traceArtifacts(t *testing.T) (chrome, jsonl []byte) {
 		rec := &res.Records[i]
 		ev := rec.TraceEvents()
 		if len(ev) == 0 {
-			t.Fatalf("cell %s recorded no events under SetCellTracing", rec.Cell)
+			t.Fatalf("cell %s recorded no events under Options.Trace", rec.Cell)
 		}
 		procs = append(procs, report.TraceProcess{
 			Name: res.Id + "/" + rec.Cell, FreqGHz: rec.FreqGHz, Events: ev,
@@ -111,18 +111,12 @@ func traceArtifacts(t *testing.T) (chrome, jsonl []byte) {
 // guarantee to the new artifacts: the Chrome trace export and the JSONL
 // records (host_ns normalized) must not depend on the worker count.
 func TestTraceDeterministicUnderParallelism(t *testing.T) {
-	SetCellTracing(true)
-	defer SetCellTracing(false)
-	defer SetRunner(core.Runner{})
-
-	SetRunner(core.Runner{Workers: 1})
-	chromeSerial, jsonlSerial := traceArtifacts(t)
+	chromeSerial, jsonlSerial := traceArtifacts(t, workers(1))
 	if len(chromeSerial) == 0 || len(jsonlSerial) == 0 {
 		t.Fatal("empty trace artifacts")
 	}
 
-	SetRunner(core.Runner{Workers: 4})
-	chromePar, jsonlPar := traceArtifacts(t)
+	chromePar, jsonlPar := traceArtifacts(t, workers(4))
 	if !bytes.Equal(chromeSerial, chromePar) {
 		t.Error("Chrome trace differs between serial and parallel-4 runs")
 	}
@@ -130,8 +124,7 @@ func TestTraceDeterministicUnderParallelism(t *testing.T) {
 		t.Error("JSONL records differ between serial and parallel-4 runs")
 	}
 
-	SetRunner(core.Runner{Workers: 4})
-	chromeAgain, jsonlAgain := traceArtifacts(t)
+	chromeAgain, jsonlAgain := traceArtifacts(t, workers(4))
 	if !bytes.Equal(chromePar, chromeAgain) {
 		t.Error("Chrome trace differs between two parallel-4 runs")
 	}
@@ -143,14 +136,14 @@ func TestTraceDeterministicUnderParallelism(t *testing.T) {
 // profileArtifacts runs the profile driver and returns its JSONL stream
 // (host_ns normalized) and folded-stack export — the acceptance artifacts
 // that must not depend on the worker count.
-func profileArtifacts(t *testing.T) (jsonl, folded []byte) {
+func profileArtifacts(t *testing.T, o Options) (jsonl, folded []byte) {
 	t.Helper()
 	resetCaches()
 	d, err := Lookup("profile")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run(Tiny, Options{})
+	res, err := d.Run(Tiny, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,16 +173,12 @@ func profileArtifacts(t *testing.T) (jsonl, folded []byte) {
 // normalized) and folded-stack export must match across serial, four
 // workers, and a repeated parallel run.
 func TestProfileDeterministicUnderParallelism(t *testing.T) {
-	defer SetRunner(core.Runner{})
-
-	SetRunner(core.Runner{Workers: 1})
-	jsonlSerial, foldedSerial := profileArtifacts(t)
+	jsonlSerial, foldedSerial := profileArtifacts(t, workers(1))
 	if len(jsonlSerial) == 0 || len(foldedSerial) == 0 {
 		t.Fatal("empty profile artifacts")
 	}
 
-	SetRunner(core.Runner{Workers: 4})
-	jsonlPar, foldedPar := profileArtifacts(t)
+	jsonlPar, foldedPar := profileArtifacts(t, workers(4))
 	if !bytes.Equal(jsonlSerial, jsonlPar) {
 		t.Error("profile JSONL differs between serial and parallel-4 runs")
 	}
@@ -197,8 +186,7 @@ func TestProfileDeterministicUnderParallelism(t *testing.T) {
 		t.Error("folded stacks differ between serial and parallel-4 runs")
 	}
 
-	SetRunner(core.Runner{Workers: 4})
-	jsonlAgain, foldedAgain := profileArtifacts(t)
+	jsonlAgain, foldedAgain := profileArtifacts(t, workers(4))
 	if !bytes.Equal(jsonlPar, jsonlAgain) {
 		t.Error("profile JSONL differs between two parallel-4 runs")
 	}
@@ -210,14 +198,14 @@ func TestProfileDeterministicUnderParallelism(t *testing.T) {
 // serveArtifacts runs the serve driver and returns its JSONL stream
 // (host_ns normalized) plus the rendered latency tables — every byte the
 // acceptance criteria require to be reproducible.
-func serveArtifacts(t *testing.T) (jsonl []byte, tables string) {
+func serveArtifacts(t *testing.T, o Options) (jsonl []byte, tables string) {
 	t.Helper()
 	resetCaches()
 	d, err := Lookup("serve")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run(Tiny, Options{})
+	res, err := d.Run(Tiny, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,16 +229,12 @@ func serveArtifacts(t *testing.T) (jsonl []byte, tables string) {
 // (host_ns normalized) and its latency/SLO/tail tables must match across
 // serial, four workers, and a repeated parallel run.
 func TestServeDeterministicUnderParallelism(t *testing.T) {
-	defer SetRunner(core.Runner{})
-
-	SetRunner(core.Runner{Workers: 1})
-	jsonlSerial, tablesSerial := serveArtifacts(t)
+	jsonlSerial, tablesSerial := serveArtifacts(t, workers(1))
 	if len(jsonlSerial) == 0 || len(tablesSerial) == 0 {
 		t.Fatal("empty serve artifacts")
 	}
 
-	SetRunner(core.Runner{Workers: 4})
-	jsonlPar, tablesPar := serveArtifacts(t)
+	jsonlPar, tablesPar := serveArtifacts(t, workers(4))
 	if !bytes.Equal(jsonlSerial, jsonlPar) {
 		t.Error("serve JSONL differs between serial and parallel-4 runs")
 	}
@@ -258,8 +242,7 @@ func TestServeDeterministicUnderParallelism(t *testing.T) {
 		t.Error("serve tables differ between serial and parallel-4 runs")
 	}
 
-	SetRunner(core.Runner{Workers: 4})
-	jsonlAgain, tablesAgain := serveArtifacts(t)
+	jsonlAgain, tablesAgain := serveArtifacts(t, workers(4))
 	if !bytes.Equal(jsonlPar, jsonlAgain) {
 		t.Error("serve JSONL differs between two parallel-4 runs")
 	}
@@ -272,10 +255,8 @@ func TestServeDeterministicUnderParallelism(t *testing.T) {
 // a Tiny serve run must attribute its p999 requests to profile buckets
 // and report the campaign's regret row.
 func TestServeAttributesTail(t *testing.T) {
-	SetRunner(core.Runner{Workers: 0})
-	defer SetRunner(core.Runner{})
 	resetCaches()
-	r, err := Serve(Tiny, ServeOptions{})
+	r, err := Serve(Tiny, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +316,28 @@ func TestReadJSONLAcceptsV1(t *testing.T) {
 	}
 }
 
+// TestReadJSONLRejectsTrailingData pins one object per line: data after
+// a valid record's object fails the read, and the error names its line.
+func TestReadJSONLRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, []Record{{Experiment: "fig2", Cell: "c1"}}); err != nil {
+		t.Fatal(err)
+	}
+	line := strings.TrimSuffix(buf.String(), "\n")
+	if _, err := ReadJSONL(strings.NewReader(line + "\n")); err != nil {
+		t.Fatalf("valid record rejected: %v", err)
+	}
+	for _, tail := range []string{" garbage", "]", `{"schema":"bogus"}`} {
+		_, err := ReadJSONL(strings.NewReader(line + "\n" + line + tail + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("trailing %q: got %v, want an error naming line 2", tail, err)
+		}
+	}
+}
+
 // TestJSONLRoundTrip pushes real records through the writer and the
 // strict reader: the round-trip must preserve every serialized field.
 func TestJSONLRoundTrip(t *testing.T) {
-	SetRunner(core.Runner{Workers: 0})
-	defer SetRunner(core.Runner{})
 	resetCaches()
 	d, err := Lookup("fig3")
 	if err != nil {
@@ -384,8 +382,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 // TestRecordsCoverCells checks a sample of drivers emit one record per
 // grid cell with the experiment id stamped.
 func TestRecordsCoverCells(t *testing.T) {
-	SetRunner(core.Runner{Workers: 0})
-	defer SetRunner(core.Runner{})
 	want := map[string]int{
 		"fig2":         35, // 7 allocators x 5 thread counts
 		"fig5a":        8,  // 4 policies x {on, off}
@@ -430,8 +426,6 @@ func TestRecordsCoverCells(t *testing.T) {
 // TestRegistryCoversRenderables pins the registry's table counts so a
 // driver that silently drops a table is caught.
 func TestRegistryCoversRenderables(t *testing.T) {
-	SetRunner(core.Runner{Workers: 0})
-	defer SetRunner(core.Runner{})
 	want := map[string]int{
 		"fig2":         2, // time + overhead
 		"fig5a":        2, // cycles + LAR

@@ -7,25 +7,12 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/machine"
 	"repro/internal/query"
 	"repro/internal/tune"
 	"repro/internal/vmm"
 )
-
-// runner executes every driver's grid cells. Each cell builds a fresh,
-// fully isolated machine and derives its RNG streams from the cell's own
-// seed, so cells can run concurrently in any order while results stay
-// byte-identical to a serial run (assembly is always by cell index). The
-// default uses GOMAXPROCS workers; SetRunner overrides it (e.g. the
-// numabench -parallel flag, or core.Serial for a serial run).
-var runner = core.Runner{}
-
-// SetRunner replaces the worker pool used by all drivers. Not safe to call
-// concurrently with a running driver; set it up front.
-func SetRunner(r core.Runner) { runner = r }
 
 // Scale sizes every experiment. Tests use Tiny; the benchmark harness uses
 // Default, which is about 1/50 of the paper's datasets (cache ratios are
@@ -98,21 +85,20 @@ var Default = Scale{
 	AdaptPartKB:    8_192,
 }
 
-// machineFor builds a fresh machine by letter (A-E). When cell
-// tracing is on it attaches an event recorder and periodic counter
-// snapshots, so every grid cell's record carries its event stream.
-func machineFor(letter string) *machine.Machine {
+// machineFor builds a fresh machine by letter (A-E), observed as o asks:
+// under Trace an event recorder and periodic counter snapshots, so the
+// cell's record carries its event stream, and under Profile the cycle
+// profiler.
+func (o Options) machineFor(letter string) *machine.Machine {
 	m, err := tune.MachineFor(letter)
 	if err != nil {
 		panic(err)
 	}
-	var o machine.ObserveOptions
-	if cellTracing {
-		o.Trace = true
-		o.SnapEvery = cellSnapEvery
+	obs := machine.ObserveOptions{Profile: o.Profile}
+	if o.Trace {
+		obs.Trace, obs.SnapEvery = true, SnapEvery
 	}
-	o.Profile = cellProfiling
-	m.Observe(o)
+	m.Observe(obs)
 	return m
 }
 

@@ -21,7 +21,7 @@ var calScale = func() Scale {
 }()
 
 func TestFig2Shapes(t *testing.T) {
-	r, err := Fig2(calScale)
+	r, err := Fig2(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFig2Shapes(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	r, err := Fig3(calScale)
+	r, err := Fig3(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	r, err := Table3(calScale)
+	r, err := Table3(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestProfileShape(t *testing.T) {
-	r, err := Profile(calScale)
+	r, err := Profile(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestProfileShape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	r, err := Fig4(calScale)
+	r, err := Fig4(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5aShape(t *testing.T) {
-	r, err := Fig5a(calScale)
+	r, err := Fig5a(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestFig5aShape(t *testing.T) {
 }
 
 func TestFig5cShape(t *testing.T) {
-	r, err := Fig5c(calScale)
+	r, err := Fig5c(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestFig5cShape(t *testing.T) {
 }
 
 func TestFig5dShape(t *testing.T) {
-	r, err := Fig5d(calScale)
+	r, err := Fig5d(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestFig5dShape(t *testing.T) {
 }
 
 func TestFig6W1Shape(t *testing.T) {
-	r, err := Fig6W1(calScale, "A")
+	r, err := Fig6W1(calScale, Options{}, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestFig6W1Shape(t *testing.T) {
 }
 
 func TestFig6W2MostlyPlacement(t *testing.T) {
-	r, err := Fig6W2(calScale, "A")
+	r, err := Fig6W2(calScale, Options{}, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestFig6W2MostlyPlacement(t *testing.T) {
 }
 
 func TestFig6W3Shape(t *testing.T) {
-	r, err := Fig6W3(calScale, "A")
+	r, err := Fig6W3(calScale, Options{}, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestFig6W3Shape(t *testing.T) {
 }
 
 func TestFig6jShape(t *testing.T) {
-	r, err := Fig6j(calScale)
+	r, err := Fig6j(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestFig6jShape(t *testing.T) {
 func TestFig7Shape(t *testing.T) {
 	var grids []Fig7Result
 	for _, kind := range index.Kinds() {
-		g, err := Fig7(calScale, kind)
+		g, err := Fig7(calScale, Options{}, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	r, err := Fig8(calScale)
+	r, err := Fig8(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestFig8Shape(t *testing.T) {
 func TestFig9Shape(t *testing.T) {
 	s := calScale
 	s.TPCHSF = 0.005 // enough rows for the allocator effect to register
-	r, err := Fig9(s)
+	r, err := Fig9(s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	r, err := Fig10(calScale)
+	r, err := Fig10(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,11 +439,11 @@ func TestMachineForPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	machineFor("Z")
+	Options{}.machineFor("Z")
 }
 
 func TestAblationShape(t *testing.T) {
-	r, err := Ablate(calScale)
+	r, err := Ablate(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestAblationShape(t *testing.T) {
 }
 
 func TestPolicySensitivity(t *testing.T) {
-	r, err := PolicySensitivity(calScale)
+	r, err := PolicySensitivity(calScale, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestPolicySensitivity(t *testing.T) {
 	}
 	// All Preferred variants concentrate traffic, so every one should be
 	// slower than the Interleave baseline.
-	m := machineFor("A")
+	m := Options{}.machineFor("A")
 	cfg := baseConfig(16)
 	cfg.Policy = vmm.Interleave
 	m.Configure(cfg)

@@ -25,7 +25,7 @@ type Fig10Result struct {
 // Fig10 runs W1 under the advised configuration, the OS default, and the
 // Figure 6 grid's best cell, on Machine A. Records include the advised
 // and default cells plus the full embedded Fig6W1 grid.
-func Fig10(s Scale) (Fig10Result, error) {
+func Fig10(s Scale, o Options) (Fig10Result, error) {
 	tr, err := core.WorkloadTraits("W1")
 	if err != nil {
 		return Fig10Result{}, err
@@ -40,9 +40,9 @@ func Fig10(s Scale) (Fig10Result, error) {
 		cycles float64
 		rec    Record
 	}
-	cells, err := core.Collect(runner, len(cfgs), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(cfgs), func(i int) (cell, error) {
 		start := startCell()
-		m := machineFor("A")
+		m := o.machineFor("A")
 		m.Configure(cfgs[i])
 		w := runW1(m, s, datagen.MovingClusterDist).Result.WallCycles
 		return cell{w, finishCell(start, names[i],
@@ -54,7 +54,7 @@ func Fig10(s Scale) (Fig10Result, error) {
 	out.AdvisedCycles, out.DefaultCycles = cells[0].cycles, cells[1].cycles
 	out.Records = []Record{cells[0].rec, cells[1].rec}
 
-	grid, err := Fig6W1(s, "A")
+	grid, err := Fig6W1(s, o, "A")
 	if err != nil {
 		return Fig10Result{}, err
 	}

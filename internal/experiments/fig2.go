@@ -28,16 +28,16 @@ type Fig2Result struct {
 // to the size class, as in Section III-A8. The allocator x thread-count
 // cells are independent (each builds a fresh Machine A) and dispatch
 // through the grid runner's worker pool.
-func Fig2(s Scale) (Fig2Result, error) {
+func Fig2(s Scale, o Options) (Fig2Result, error) {
 	names := alloc.Names()
 	type cell struct {
 		secs, over float64
 		rec        Record
 	}
-	cells, err := core.Collect(runner, len(names)*len(Fig2Threads), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(names)*len(Fig2Threads), func(i int) (cell, error) {
 		name := names[i/len(Fig2Threads)]
 		threads := Fig2Threads[i%len(Fig2Threads)]
-		secs, over, rec := microbench(name, threads, s.MicrobenchOps)
+		secs, over, rec := microbench(o, name, threads, s.MicrobenchOps)
 		return cell{secs, over, rec}, nil
 	})
 	if err != nil {
@@ -74,9 +74,9 @@ func microbenchSizes() (sizes []uint64, cum []float64) {
 	return sizes, cum
 }
 
-func microbench(allocName string, threads, ops int) (seconds, overhead float64, rec Record) {
+func microbench(o Options, allocName string, threads, ops int) (seconds, overhead float64, rec Record) {
 	start := startCell()
-	m := machineFor("A")
+	m := o.machineFor("A")
 	cfg := baseConfig(threads)
 	cfg.Allocator = allocName
 	m.Configure(cfg)

@@ -21,9 +21,9 @@ type Fig3Result struct {
 // OS scheduler (each run draws a fresh migration behaviour), reporting
 // runtimes relative to the affinitized run. Cell 0 is the Sparse baseline;
 // the unaffinitized runs follow, each a fresh machine with its own seed.
-func Fig3(s Scale) (Fig3Result, error) {
+func Fig3(s Scale, o Options) (Fig3Result, error) {
 	mkMachine := func(place machine.Placement, seed uint64) *machine.Machine {
-		m := machineFor("A")
+		m := o.machineFor("A")
 		cfg := baseConfig(16)
 		cfg.Placement = place
 		cfg.Seed = seed
@@ -34,7 +34,7 @@ func Fig3(s Scale) (Fig3Result, error) {
 		cycles float64
 		rec    Record
 	}
-	cells, err := core.Collect(runner, 1+s.Fig3Runs, func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, 1+s.Fig3Runs, func(i int) (cell, error) {
 		start := startCell()
 		var m *machine.Machine
 		name := "sparse"
@@ -85,17 +85,17 @@ type Table3Result struct {
 // Table3 profiles W1 on Machine A under the OS scheduler (a
 // migration-heavy draw, as the paper's default exhibited) and under the
 // Sparse policy.
-func Table3(s Scale) (Table3Result, error) {
+func Table3(s Scale, o Options) (Table3Result, error) {
 	placements := []machine.Placement{machine.PlaceNone, machine.PlaceSparse}
 	names := []string{"default", "modified"}
 	type cell struct {
 		counters machine.Counters
 		rec      Record
 	}
-	cells, err := core.Collect(runner, len(placements), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(placements), func(i int) (cell, error) {
 		start := startCell()
 		place := placements[i]
-		m := machineFor("A")
+		m := o.machineFor("A")
 		cfg := baseConfig(16)
 		cfg.Placement = place
 		cfg.AutoNUMA = place == machine.PlaceNone // OS default keeps balancing on
@@ -154,7 +154,7 @@ type Fig4Result struct {
 
 // Fig4 compares the Sparse and Dense affinitization strategies on W1
 // across datasets and thread counts.
-func Fig4(s Scale) (Fig4Result, error) {
+func Fig4(s Scale, o Options) (Fig4Result, error) {
 	out := Fig4Result{
 		Datasets: datagen.Distributions(),
 		Threads:  Fig4Threads,
@@ -167,12 +167,12 @@ func Fig4(s Scale) (Fig4Result, error) {
 		cycles float64
 		rec    Record
 	}
-	cells, err := core.Collect(runner, nCells, func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, nCells, func(i int) (cell, error) {
 		start := startCell()
 		dist := out.Datasets[i/(len(Fig4Threads)*len(places))]
 		threads := Fig4Threads[i/len(places)%len(Fig4Threads)]
 		place := places[i%len(places)]
-		m := machineFor("A")
+		m := o.machineFor("A")
 		cfg := baseConfig(threads)
 		cfg.Placement = place
 		m.Configure(cfg)

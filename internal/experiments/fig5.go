@@ -24,16 +24,16 @@ type Fig5aResult struct {
 }
 
 // Fig5a sweeps placement policy x AutoNUMA for W1 on Machine A.
-func Fig5a(s Scale) (Fig5aResult, error) {
+func Fig5a(s Scale, o Options) (Fig5aResult, error) {
 	out := Fig5aResult{Policies: fig5Policies}
 	type cell struct {
 		cycles, lar float64
 		rec         Record
 	}
 	autos := []bool{true, false}
-	cells, err := core.Collect(runner, len(fig5Policies)*len(autos), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(fig5Policies)*len(autos), func(i int) (cell, error) {
 		start := startCell()
-		m := machineFor("A")
+		m := o.machineFor("A")
 		cfg := baseConfig(16)
 		cfg.Policy = fig5Policies[i/len(autos)]
 		cfg.AutoNUMA = autos[i%len(autos)]
@@ -99,16 +99,16 @@ type Fig5cResult struct {
 
 // Fig5c sweeps allocator x THP for W1 on Machine A (First Touch, AutoNUMA
 // off, as the paper isolates the hugepage mechanism).
-func Fig5c(s Scale) (Fig5cResult, error) {
+func Fig5c(s Scale, o Options) (Fig5cResult, error) {
 	out := Fig5cResult{Allocators: alloc.WorkloadNames()}
 	thps := []bool{false, true}
 	type cell struct {
 		cycles float64
 		rec    Record
 	}
-	cells, err := core.Collect(runner, len(out.Allocators)*len(thps), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(out.Allocators)*len(thps), func(i int) (cell, error) {
 		start := startCell()
-		m := machineFor("A")
+		m := o.machineFor("A")
 		cfg := baseConfig(16)
 		cfg.Allocator = out.Allocators[i/len(thps)]
 		cfg.THP = thps[i%len(thps)]
@@ -160,7 +160,7 @@ type Fig5dResult struct {
 
 // Fig5d sweeps {First Touch, Interleave, Localalloc} x {daemons on, off}
 // x {A, B, C} for W1.
-func Fig5d(s Scale) (Fig5dResult, error) {
+func Fig5d(s Scale, o Options) (Fig5dResult, error) {
 	out := Fig5dResult{
 		Machines: []string{"A", "B", "C"},
 		Policies: []vmm.Policy{vmm.FirstTouch, vmm.Interleave, vmm.Localalloc},
@@ -173,10 +173,10 @@ func Fig5d(s Scale) (Fig5dResult, error) {
 		cycles float64
 		rec    Record
 	}
-	cells, err := core.Collect(runner, len(out.Machines)*per, func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(out.Machines)*per, func(i int) (cell, error) {
 		start := startCell()
 		mc := out.Machines[i/per]
-		m := machineFor(mc)
+		m := o.machineFor(mc)
 		cfg := baseConfig(m.Spec.HardwareThreads())
 		cfg.Policy = out.Policies[i/len(daemonsStates)%len(out.Policies)]
 		daemons := daemonsStates[i%len(daemonsStates)]

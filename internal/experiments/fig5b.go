@@ -19,25 +19,25 @@ type Fig5bSeriesResult struct {
 }
 
 // Fig5bSeries runs W1 on Machine A once per placement policy with
-// AutoNUMA on, sampling the counter state every cellSnapEvery simulated
+// AutoNUMA on, sampling the counter state every SnapEvery simulated
 // cycles. Where Fig5a reports the end-of-run local access ratio, this
 // driver exposes its trajectory — the paper's Figure 5b story that
 // AutoNUMA recovers locality over time for policies that start remote.
-func Fig5bSeries(s Scale) (Fig5bSeriesResult, error) {
+func Fig5bSeries(s Scale, o Options) (Fig5bSeriesResult, error) {
 	out := Fig5bSeriesResult{Policies: fig5Policies}
 	type cell struct {
 		snaps []machine.Snapshot
 		rec   Record
 	}
-	cells, err := core.Collect(runner, len(fig5Policies), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(fig5Policies), func(i int) (cell, error) {
 		start := startCell()
-		m := machineFor("A")
+		m := o.machineFor("A")
 		cfg := baseConfig(16)
 		cfg.Policy = fig5Policies[i]
 		cfg.AutoNUMA = true
 		m.Configure(cfg)
 		// Snapshots drive this figure, so sample regardless of -trace.
-		m.Observe(machine.ObserveOptions{SnapEvery: cellSnapEvery})
+		m.Observe(machine.ObserveOptions{SnapEvery: SnapEvery})
 		res := runW1(m, s, datagen.MovingClusterDist)
 		rec := finishCell(start, cfg.Policy.String(),
 			map[string]string{"policy": cfg.Policy.String()},

@@ -26,7 +26,7 @@ type Fig6Result struct {
 
 // sweepAllocPolicy runs the given workload for every allocator x policy
 // cell, each on a fresh machine, dispatched through the grid runner.
-func sweepAllocPolicy(title, mc string, threads int, run func(m *machine.Machine) float64) (Fig6Result, error) {
+func sweepAllocPolicy(o Options, title, mc string, threads int, run func(m *machine.Machine) float64) (Fig6Result, error) {
 	out := Fig6Result{
 		Title:      title,
 		Machine:    mc,
@@ -37,9 +37,9 @@ func sweepAllocPolicy(title, mc string, threads int, run func(m *machine.Machine
 		cycles float64
 		rec    Record
 	}
-	cells, err := core.Collect(runner, len(out.Allocators)*len(out.Policies), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(out.Allocators)*len(out.Policies), func(i int) (cell, error) {
 		start := startCell()
-		m := machineFor(mc)
+		m := o.machineFor(mc)
 		cfg := baseConfig(threads)
 		if threads <= 0 {
 			cfg.Threads = m.Spec.HardwareThreads()
@@ -73,24 +73,24 @@ func sweepAllocPolicy(title, mc string, threads int, run func(m *machine.Machine
 
 // Fig6W1 produces Figure 6a/6b/6c: W1 across allocators and policies on
 // the given machine ("A", "B" or "C").
-func Fig6W1(s Scale, mc string) (Fig6Result, error) {
-	return sweepAllocPolicy("Fig 6 W1 (holistic aggregation), Machine "+mc, mc, 0,
+func Fig6W1(s Scale, o Options, mc string) (Fig6Result, error) {
+	return sweepAllocPolicy(o, "Fig 6 W1 (holistic aggregation), Machine "+mc, mc, 0,
 		func(m *machine.Machine) float64 {
 			return runW1(m, s, datagen.MovingClusterDist).Result.WallCycles
 		})
 }
 
 // Fig6W2 produces Figure 6d/6e/6f: W2 across allocators and policies.
-func Fig6W2(s Scale, mc string) (Fig6Result, error) {
-	return sweepAllocPolicy("Fig 6 W2 (distributive aggregation), Machine "+mc, mc, 0,
+func Fig6W2(s Scale, o Options, mc string) (Fig6Result, error) {
+	return sweepAllocPolicy(o, "Fig 6 W2 (distributive aggregation), Machine "+mc, mc, 0,
 		func(m *machine.Machine) float64 {
 			return runW2(m, s).Result.WallCycles
 		})
 }
 
 // Fig6W3 produces Figure 6g/6h/6i: W3 across allocators and policies.
-func Fig6W3(s Scale, mc string) (Fig6Result, error) {
-	return sweepAllocPolicy("Fig 6 W3 (hash join), Machine "+mc, mc, 0,
+func Fig6W3(s Scale, o Options, mc string) (Fig6Result, error) {
+	return sweepAllocPolicy(o, "Fig 6 W3 (hash join), Machine "+mc, mc, 0,
 		func(m *machine.Machine) float64 {
 			return runW3(m, s).Result.WallCycles
 		})
@@ -152,16 +152,16 @@ type Fig6jResult struct {
 }
 
 // Fig6j varies the dataset distribution under each allocator.
-func Fig6j(s Scale) (Fig6jResult, error) {
+func Fig6j(s Scale, o Options) (Fig6jResult, error) {
 	out := Fig6jResult{Allocators: alloc.WorkloadNames(), Datasets: datagen.Distributions()}
 	type cell struct {
 		cycles float64
 		rec    Record
 	}
-	cells, err := core.Collect(runner, len(out.Allocators)*len(out.Datasets), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(out.Allocators)*len(out.Datasets), func(i int) (cell, error) {
 		start := startCell()
 		dist := out.Datasets[i%len(out.Datasets)]
-		m := machineFor("A")
+		m := o.machineFor("A")
 		cfg := baseConfig(16)
 		cfg.Allocator = out.Allocators[i/len(out.Datasets)]
 		cfg.Policy = vmm.Interleave

@@ -27,7 +27,7 @@ type Fig7Result struct {
 }
 
 // Fig7 sweeps one index kind over allocators x policies (W4, Machine A).
-func Fig7(s Scale, kind index.Kind) (Fig7Result, error) {
+func Fig7(s Scale, o Options, kind index.Kind) (Fig7Result, error) {
 	out := Fig7Result{
 		Kind:       kind,
 		Allocators: alloc.WorkloadNames(),
@@ -38,9 +38,9 @@ func Fig7(s Scale, kind index.Kind) (Fig7Result, error) {
 		build, probe float64
 		rec          Record
 	}
-	cells, err := core.Collect(runner, len(out.Allocators)*len(out.Policies), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(out.Allocators)*len(out.Policies), func(i int) (cell, error) {
 		start := startCell()
-		m := machineFor("A")
+		m := o.machineFor("A")
 		cfg := baseConfig(16)
 		cfg.Allocator = out.Allocators[i/len(out.Policies)]
 		cfg.Policy = out.Policies[i%len(out.Policies)]

@@ -44,7 +44,7 @@ type Fig8Result struct {
 // in order): engine state persists across a harness's queries, so the
 // harness is the smallest boundary that keeps results identical to a
 // serial sweep. The database itself is built once and shared read-only.
-func Fig8(s Scale) (Fig8Result, error) {
+func Fig8(s Scale, o Options) (Fig8Result, error) {
 	db := tpch.GenerateCached(s.TPCHSF, 41)
 	profiles := tpch.Profiles()
 	type cell struct {
@@ -53,7 +53,7 @@ func Fig8(s Scale) (Fig8Result, error) {
 		rec   Record
 	}
 	configs := 2 // 0 = OS default, 1 = tuned
-	cells, err := core.Collect(runner, len(profiles)*configs, func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(profiles)*configs, func(i int) (cell, error) {
 		start := startCell()
 		prof := profiles[i/configs]
 		spec := machine.SpecA()
@@ -162,7 +162,7 @@ type Fig9Result struct {
 // Fig9 varies the overriding allocator for MonetDB on queries 5 and 18.
 // One cell per allocator: each builds its own harness and measures both
 // queries in order on it.
-func Fig9(s Scale) (Fig9Result, error) {
+func Fig9(s Scale, o Options) (Fig9Result, error) {
 	db := tpch.GenerateCached(s.TPCHSF, 41)
 	out := Fig9Result{Allocators: alloc.WorkloadNames()}
 	prof := tpch.ProfileByName("MonetDB")
@@ -170,7 +170,7 @@ func Fig9(s Scale) (Fig9Result, error) {
 		q5, q18 float64
 		rec     Record
 	}
-	cells, err := core.Collect(runner, len(out.Allocators), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(out.Allocators), func(i int) (cell, error) {
 		start := startCell()
 		spec := machine.SpecA()
 		cfg := w5TunedConfig(spec.HardwareThreads(), false)

@@ -98,7 +98,7 @@ func numawareJoinConfig(variant string, threads int) machine.RunConfig {
 // reset counters (and with them the profile) after their untimed setup,
 // and RunQuery does the same, so every cell's profile covers exactly its
 // measured phase.
-func Numaware(s Scale) (NumawareResult, error) {
+func Numaware(s Scale, o Options) (NumawareResult, error) {
 	tables := datagen.CachedJoin(s.JoinR, datagen.DefaultJoinRatio, 17)
 	db := tpch.GenerateCached(s.TPCHSF, 41)
 
@@ -111,12 +111,12 @@ func Numaware(s Scale) (NumawareResult, error) {
 		storage *NumawareStorageCell
 		rec     Record
 	}
-	cells, err := core.Collect(runner, total, func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, total, func(i int) (cell, error) {
 		start := startCell()
 		if i < joinCells {
 			mc := numawareMachines[i/len(numawareVariants)]
 			variant := numawareVariants[i%len(numawareVariants)]
-			m := machineFor(mc)
+			m := o.machineFor(mc)
 			m.Observe(machine.ObserveOptions{Profile: true})
 			m.Configure(numawareJoinConfig(variant, m.Spec.HardwareThreads()))
 			var out query.JoinOutcome
@@ -159,7 +159,7 @@ func Numaware(s Scale) (NumawareResult, error) {
 			mode = "chunked"
 			opts.Chunked = true
 		}
-		m := machineFor(mc)
+		m := o.machineFor(mc)
 		m.Configure(w5TunedConfig(m.Spec.HardwareThreads(), false))
 		e := tpch.NewEngineStorage(tpch.ProfileByName("Quickstep"), m, db, opts)
 		m.Observe(machine.ObserveOptions{Profile: true})

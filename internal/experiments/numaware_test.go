@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestNumawareShape(t *testing.T) {
-	r, err := Numaware(Tiny)
+	r, err := Numaware(Tiny, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ const profileSeed = 104
 // output). The pinned cell isolates what Sparse affinity alone buys
 // (Table III); the tuned cell adds Interleave, tbbmalloc and daemons off
 // (Figure 10), whose interleaving trades LAR for bandwidth.
-func Profile(s Scale) (ProfileResult, error) {
+func Profile(s Scale, o Options) (ProfileResult, error) {
 	type spec struct {
 		name string
 		cfg  machine.RunConfig
@@ -61,9 +61,9 @@ func Profile(s Scale) (ProfileResult, error) {
 		pc  ProfileCell
 		rec Record
 	}
-	cells, err := core.Collect(runner, len(specs), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(specs), func(i int) (cell, error) {
 		start := startCell()
-		m := machineFor("A")
+		m := o.machineFor("A")
 		m.Configure(specs[i].cfg)
 		m.Observe(machine.ObserveOptions{Profile: true})
 		res := runW1(m, s, datagen.MovingClusterDist).Result

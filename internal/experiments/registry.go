@@ -27,8 +27,9 @@ type Descriptor struct {
 	// DefaultScale is the scale EXPERIMENTS.md regenerates the artifact
 	// at ("cal" unless noted).
 	DefaultScale string
-	// Options names the Options knobs this driver reads (empty for
-	// experiments without any); numabench -list prints them.
+	// Options names the per-experiment numabench flags (Options.Serve and
+	// Options.Adapt knobs) this driver reads, empty for experiments
+	// without any; numabench -list prints them.
 	Options []string
 
 	run Driver
@@ -55,282 +56,92 @@ var registry = buildRegistry()
 
 func buildRegistry() map[string]Descriptor {
 	ds := []Descriptor{
-		{
-			Id: "fig2", Title: "Allocator microbenchmark: time and memory overhead",
-			Artifact: "Figure 2a/2b", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig2(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.RenderTime(), r.RenderOverhead()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "fig3", Title: "OS scheduler variance vs Sparse affinity, consecutive W1 runs",
-			Artifact: "Figure 3", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig3(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "table2", Title: "Simulated machine specifications",
-			Artifact: "Table II", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				return &Result{Tables: []*report.Table{Table2()}}, nil
-			},
-		},
-		{
-			Id: "table3", Title: "Perf-counter profile, default vs Sparse placement",
-			Artifact: "Table III", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Table3(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "fig4", Title: "Sparse vs Dense thread affinity across datasets",
-			Artifact: "Figure 4", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig4(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "fig5a", Title: "AutoNUMA effect on runtime and locality by placement policy",
-			Artifact: "Figure 5a/5b", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig5a(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render(), r.RenderLAR()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "fig5b-series", Title: "Local access ratio over time from counter snapshots",
-			Artifact: "Figure 5b (time series)", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig5bSeries(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "fig5c", Title: "THP impact per memory allocator",
-			Artifact: "Figure 5c", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig5c(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "fig5d", Title: "Combined AutoNUMA+THP effect across machines",
-			Artifact: "Figure 5d", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig5d(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
+		entry("fig2", "Allocator microbenchmark: time and memory overhead", "Figure 2a/2b", Fig2,
+			func(r Fig2Result) *Result { return tables(r.Records, r.RenderTime(), r.RenderOverhead()) }),
+		entry("fig3", "OS scheduler variance vs Sparse affinity, consecutive W1 runs", "Figure 3", Fig3,
+			func(r Fig3Result) *Result { return tables(r.Records, r.Render()) }),
+		entry("table2", "Simulated machine specifications", "Table II",
+			func(Scale, Options) (*report.Table, error) { return Table2(), nil },
+			func(t *report.Table) *Result { return tables(nil, t) }),
+		entry("table3", "Perf-counter profile, default vs Sparse placement", "Table III", Table3,
+			func(r Table3Result) *Result { return tables(r.Records, r.Render()) }),
+		entry("fig4", "Sparse vs Dense thread affinity across datasets", "Figure 4", Fig4,
+			func(r Fig4Result) *Result { return tables(r.Records, r.Render()) }),
+		entry("fig5a", "AutoNUMA effect on runtime and locality by placement policy", "Figure 5a/5b", Fig5a,
+			func(r Fig5aResult) *Result { return tables(r.Records, r.Render(), r.RenderLAR()) }),
+		entry("fig5b-series", "Local access ratio over time from counter snapshots", "Figure 5b (time series)", Fig5bSeries,
+			func(r Fig5bSeriesResult) *Result { return tables(r.Records, r.Render()) }),
+		entry("fig5c", "THP impact per memory allocator", "Figure 5c", Fig5c,
+			func(r Fig5cResult) *Result { return tables(r.Records, r.Render()) }),
+		entry("fig5d", "Combined AutoNUMA+THP effect across machines", "Figure 5d", Fig5d,
+			func(r Fig5dResult) *Result { return tables(r.Records, r.Render()) }),
 		machineSweep("fig6w1", "W1 holistic aggregation, allocator x policy grids", "Figure 6a-6c", Fig6W1),
 		machineSweep("fig6w2", "W2 distributive aggregation, allocator x policy grids", "Figure 6d-6f", Fig6W2),
 		machineSweep("fig6w3", "W3 hash join, allocator x policy grids", "Figure 6g-6i", Fig6W3),
-		{
-			Id: "fig6j", Title: "W1 by dataset distribution and allocator",
-			Artifact: "Figure 6j", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig6j(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "fig7", Title: "Index nested-loop join grids and best-config phase split",
-			Artifact: "Figure 7a-7e", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				out := &Result{}
+		entry("fig6j", "W1 by dataset distribution and allocator", "Figure 6j", Fig6j,
+			func(r Fig6jResult) *Result { return tables(r.Records, r.Render()) }),
+		entry("fig7", "Index nested-loop join grids and best-config phase split", "Figure 7a-7e",
+			func(s Scale, o Options) ([]Fig7Result, error) {
 				var grids []Fig7Result
 				for _, k := range index.Kinds() {
-					r, err := Fig7(s, k)
+					r, err := Fig7(s, o, k)
 					if err != nil {
 						return nil, err
 					}
-					out.Tables = append(out.Tables, r.Render())
-					out.Records = append(out.Records, r.Records...)
 					grids = append(grids, r)
 				}
+				return grids, nil
+			},
+			func(grids []Fig7Result) *Result {
+				out := &Result{}
+				for _, r := range grids {
+					out.Tables = append(out.Tables, r.Render())
+					out.Records = append(out.Records, r.Records...)
+				}
 				out.Tables = append(out.Tables, Fig7eFromGrids(grids).Render())
-				return out, nil
-			},
-		},
-		{
-			Id: "fig8", Title: "TPC-H latency reduction, tuned vs default, five engines",
-			Artifact: "Figure 8", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig8(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "fig9", Title: "TPC-H Q5/Q18 latency by allocator, MonetDB",
-			Artifact: "Figure 9", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig9(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "fig10", Title: "Decision-flowchart validation against the measured optimum",
-			Artifact: "Figure 10", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Fig10(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "profile", Title: "Cycle attribution: component breakdown and node matrices, default vs pinned vs tuned",
-			Artifact: "Table III (extended)", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Profile(s)
-				if err != nil {
-					return nil, err
-				}
-				tables := []*report.Table{r.RenderTable3Extended(), r.RenderBreakdown()}
-				tables = append(tables, r.RenderMatrices()...)
-				return &Result{Tables: tables, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "tune", Title: "Configuration-space tuning campaigns and flowchart regret",
-			Artifact: "Figure 10 (extended)", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Tune(s)
-				if err != nil {
-					return nil, err
-				}
-				tables := []*report.Table{r.RenderStrategies(), r.RenderTop(),
-					r.RenderMarginals(), r.RenderRegret()}
-				return &Result{Tables: tables, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "bigtopo", Title: "Flowchart regret on large topologies (chiplet D, grid-mesh E)",
-			Artifact: "extension", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := BigTopo(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.RenderRegret()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "serve", Title: "Open-loop serving: tail latency, SLO attainment and p999 attribution",
-			Artifact: "extension", DefaultScale: "cal",
-			Options: []string{"serve-requests", "serve-util"},
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Serve(s, o.Serve)
-				if err != nil {
-					return nil, err
-				}
-				tables := []*report.Table{r.RenderSummary(), r.RenderHistogram(),
-					r.RenderTail(), r.RenderRegret()}
-				return &Result{Tables: tables, Records: r.Records, Spans: r.Spans}, nil
-			},
-		},
-		{
-			Id: "serve-adapt", Title: "Orchestrator under serving: p999 delta, decision journal and span blame",
-			Artifact: "extension", DefaultScale: "cal",
-			Options: []string{"serve-requests", "serve-util", "adapt-period", "adapt-budget"},
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := ServeAdapt(s, o)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{
-					Tables:  []*report.Table{r.RenderP999(), r.RenderBlame(), r.RenderDecisions()},
-					Records: r.Records,
-					Spans:   r.Spans,
-				}, nil
-			},
-		},
-		{
-			Id: "adapt", Title: "Online adaptive placement vs OS default and the static tune optimum",
-			Artifact: "extension", DefaultScale: "cal",
-			Options: []string{"adapt-period", "adapt-budget"},
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Adapt(s, o.Adapt)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render(), r.RenderActions()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "numaware", Title: "NUMA-aware operators (MPSM join, chunked storage) vs the agnostic flowchart",
-			Artifact: "extension", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Numaware(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{
-					Tables:  []*report.Table{r.RenderJoin(), r.RenderStorage(), r.RenderVerdict()},
-					Records: r.Records,
-				}, nil
-			},
-		},
-		{
-			Id: "ablation", Title: "Cost-model ablations of the headline default-vs-tuned gain",
-			Artifact: "extension", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := Ablate(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
-		{
-			Id: "preferred", Title: "Preferred-policy target-node sensitivity",
-			Artifact: "extension", DefaultScale: "cal",
-			run: func(s Scale, o Options) (*Result, error) {
-				r, err := PolicySensitivity(s)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Tables: []*report.Table{r.Render()}, Records: r.Records}, nil
-			},
-		},
+				return out
+			}),
+		entry("fig8", "TPC-H latency reduction, tuned vs default, five engines", "Figure 8", Fig8,
+			func(r Fig8Result) *Result { return tables(r.Records, r.Render()) }),
+		entry("fig9", "TPC-H Q5/Q18 latency by allocator, MonetDB", "Figure 9", Fig9,
+			func(r Fig9Result) *Result { return tables(r.Records, r.Render()) }),
+		entry("fig10", "Decision-flowchart validation against the measured optimum", "Figure 10", Fig10,
+			func(r Fig10Result) *Result { return tables(r.Records, r.Render()) }),
+		entry("profile", "Cycle attribution: component breakdown and node matrices, default vs pinned vs tuned",
+			"Table III (extended)", Profile,
+			func(r ProfileResult) *Result {
+				return tables(r.Records, append([]*report.Table{r.RenderTable3Extended(), r.RenderBreakdown()},
+					r.RenderMatrices()...)...)
+			}),
+		entry("tune", "Configuration-space tuning campaigns and flowchart regret", "Figure 10 (extended)", Tune,
+			func(r TuneResult) *Result {
+				return tables(r.Records, r.RenderStrategies(), r.RenderTop(), r.RenderMarginals(), r.RenderRegret())
+			}),
+		entry("bigtopo", "Flowchart regret on large topologies (chiplet D, grid-mesh E)", "extension", BigTopo,
+			func(r BigTopoResult) *Result { return tables(r.Records, r.RenderRegret()) }),
+		entry("serve", "Open-loop serving: tail latency, SLO attainment and p999 attribution", "extension", Serve,
+			func(r ServeResult) *Result {
+				out := tables(r.Records, r.RenderSummary(), r.RenderHistogram(), r.RenderTail(), r.RenderRegret())
+				out.Spans = r.Spans
+				return out
+			}, "serve-requests", "serve-util"),
+		entry("serve-adapt", "Orchestrator under serving: p999 delta, decision journal and span blame", "extension", ServeAdapt,
+			func(r ServeAdaptResult) *Result {
+				out := tables(r.Records, r.RenderP999(), r.RenderBlame(), r.RenderDecisions())
+				out.Spans = r.Spans
+				return out
+			}, "serve-requests", "serve-util", "adapt-period", "adapt-budget"),
+		entry("adapt", "Online adaptive placement vs OS default and the static tune optimum", "extension", Adapt,
+			func(r AdaptResult) *Result { return tables(r.Records, r.Render(), r.RenderActions()) },
+			"adapt-period", "adapt-budget"),
+		entry("numaware", "NUMA-aware operators (MPSM join, chunked storage) vs the agnostic flowchart", "extension", Numaware,
+			func(r NumawareResult) *Result {
+				return tables(r.Records, r.RenderJoin(), r.RenderStorage(), r.RenderVerdict())
+			}),
+		entry("ablation", "Cost-model ablations of the headline default-vs-tuned gain", "extension", Ablate,
+			func(r AblationResult) *Result { return tables(r.Records, r.Render()) }),
+		entry("preferred", "Preferred-policy target-node sensitivity", "extension", PolicySensitivity,
+			func(r PolicySensitivityResult) *Result { return tables(r.Records, r.Render()) }),
 	}
 	m := make(map[string]Descriptor, len(ds))
 	for _, d := range ds {
@@ -342,15 +153,35 @@ func buildRegistry() map[string]Descriptor {
 	return m
 }
 
+// entry makes the descriptor of a driver whose typed result view renders
+// into tables and records; opts names the Options knobs the driver reads.
+func entry[R any](id, title, artifact string, drive func(Scale, Options) (R, error),
+	view func(R) *Result, opts ...string) Descriptor {
+	return Descriptor{
+		Id: id, Title: title, Artifact: artifact, DefaultScale: "cal", Options: opts,
+		run: func(s Scale, o Options) (*Result, error) {
+			r, err := drive(s, o)
+			if err != nil {
+				return nil, err
+			}
+			return view(r), nil
+		},
+	}
+}
+
+// tables is the Result of a driver that renders tabs and emits recs.
+func tables(recs []Record, tabs ...*report.Table) *Result {
+	return &Result{Tables: tabs, Records: recs}
+}
+
 // machineSweep adapts the per-machine Figure 6 drivers into a Descriptor
 // that renders the grid for Machines A, B and C.
-func machineSweep(id, title, artifact string, fn func(s Scale, mc string) (Fig6Result, error)) Descriptor {
-	return Descriptor{
-		Id: id, Title: title, Artifact: artifact, DefaultScale: "cal",
-		run: func(s Scale, o Options) (*Result, error) {
+func machineSweep(id, title, artifact string, fn func(s Scale, o Options, mc string) (Fig6Result, error)) Descriptor {
+	return entry(id, title, artifact,
+		func(s Scale, o Options) (*Result, error) {
 			out := &Result{}
 			for _, mc := range []string{"A", "B", "C"} {
-				r, err := fn(s, mc)
+				r, err := fn(s, o, mc)
 				if err != nil {
 					return nil, err
 				}
@@ -359,7 +190,7 @@ func machineSweep(id, title, artifact string, fn func(s Scale, mc string) (Fig6R
 			}
 			return out, nil
 		},
-	}
+		func(r *Result) *Result { return r })
 }
 
 // Ids returns every experiment id in sorted order.

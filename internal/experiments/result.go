@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"time"
 
+	"repro/internal/jsonl"
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/span"
@@ -63,7 +61,8 @@ type CellConfig struct {
 	Seed          uint64 `json:"seed"`
 }
 
-func configOf(cfg machine.RunConfig) CellConfig {
+// ConfigOf flattens a run configuration into its record form.
+func ConfigOf(cfg machine.RunConfig) CellConfig {
 	return CellConfig{
 		Threads:       cfg.Threads,
 		Placement:     cfg.Placement.String(),
@@ -102,8 +101,8 @@ type Record struct {
 	rec *trace.Recorder
 }
 
-// TraceEvents returns the cell's recorded event stream, nil unless
-// SetCellTracing(true) was active when the cell ran.
+// TraceEvents returns the cell's recorded event stream, nil unless the
+// cell ran under Options.Trace.
 func (r *Record) TraceEvents() []trace.Event {
 	if r.rec == nil {
 		return nil
@@ -115,44 +114,14 @@ func (r *Record) TraceEvents() []trace.Event {
 // paper shows, plus one structured Record per grid cell for the JSONL
 // sink. Id is stamped by Descriptor.Run. Spans carries the request-level
 // span trees of serving cells (schema repro/spans/v1, each span's Cell
-// stamped with its grid cell), populated by the serve family when span
-// collection is on.
+// stamped with its grid cell), populated by the serve family under
+// Options.Spans (serve-adapt always collects them).
 type Result struct {
 	Id      string
 	Tables  []*report.Table
 	Records []Record
 	Spans   []span.Span
 }
-
-// cellTracing attaches a trace.Recorder and periodic counter snapshots to
-// every machine built by machineFor. Set it up front (like SetRunner);
-// not safe to toggle while a driver runs.
-var cellTracing bool
-
-// SetCellTracing toggles per-cell event tracing and counter snapshots for
-// all subsequent driver runs (the numabench -trace flag). Off by default:
-// untraced cells run with a nil sink and pay nothing.
-func SetCellTracing(on bool) { cellTracing = on }
-
-// cellProfiling attaches the cycle-attribution profiler to every machine
-// built by machineFor, filling each record's breakdown and profile fields.
-// Same contract as cellTracing: set up front, don't toggle mid-driver.
-var cellProfiling bool
-
-// SetCellProfiling toggles per-cell cycle attribution for all subsequent
-// driver runs (the numabench -breakdown / -folded flags). Off by default:
-// unprofiled cells pay one nil check per hook.
-func SetCellProfiling(on bool) { cellProfiling = on }
-
-// cellSpans marks serving machines for request-span collection, filling
-// Result.Spans on the serve-family drivers. Same contract as cellTracing:
-// set up front, don't toggle mid-driver.
-var cellSpans bool
-
-// SetCellSpans toggles request-span collection for all subsequent
-// serve-family driver runs (the numabench -spans flag). Span assembly is
-// observation-only: every simulated output is bit-identical on or off.
-func SetCellSpans(on bool) { cellSpans = on }
 
 // stampSpans labels a serving outcome's spans with their grid cell and
 // appends them to dst.
@@ -164,11 +133,12 @@ func stampSpans(dst []span.Span, cell string, spans []span.Span) []span.Span {
 	return dst
 }
 
-// cellSnapEvery is the snapshot cadence for traced cells and the Fig 5b
-// time series, in simulated cycles. Long runs stay bounded because the
-// machine thins the series (drops every other sample, doubles cadence)
-// once it hits its cap.
-const cellSnapEvery = 1e5
+// SnapEvery is the counter-snapshot cadence of traced machines and of
+// the Fig 5b time series, in simulated cycles; the CLIs trace the
+// machines they build themselves at the same cadence, so counter tracks
+// line up. Long runs stay bounded because the machine thins the series
+// (drops every other sample, doubles cadence) once it hits its cap.
+const SnapEvery = 1e5
 
 // startCell marks the host-time start of a grid cell. Host time is the
 // one nondeterministic record field; everything else derives from the
@@ -185,7 +155,7 @@ func finishCell(start time.Time, cell string, labels map[string]string, m *machi
 		Cell:       cell,
 		Labels:     labels,
 		Machine:    m.Spec.Name,
-		Config:     configOf(cfg),
+		Config:     ConfigOf(cfg),
 		Seed:       cfg.Seed,
 		WallCycles: wall,
 		FreqGHz:    m.Spec.FreqGHz,
@@ -203,55 +173,24 @@ func finishCell(start time.Time, cell string, labels map[string]string, m *machi
 	return r
 }
 
+// codec writes the repro/bench/v2 layout and reads v2 and v1.
+var codec = jsonl.NewFormat(SchemaVersion, func(r *Record) *string { return &r.Schema }, checkRecord, SchemaV1)
+
 // WriteJSONL appends one JSON object per record to w, newline-delimited.
 // Missing Schema fields are stamped with SchemaVersion. Output order is
 // input order; for a fixed seed everything but host_ns is deterministic.
-func WriteJSONL(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range recs {
-		r := recs[i]
-		if r.Schema == "" {
-			r.Schema = SchemaVersion
-		}
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func WriteJSONL(w io.Writer, recs []Record) error { return codec.Write(w, recs) }
 
 // ReadJSONL parses newline-delimited records, rejecting unknown fields,
-// wrong schemas, and records with no experiment or cell id — the strict
-// complement of WriteJSONL, so a round-trip validates the schema.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	var recs []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(b))
-		dec.DisallowUnknownFields()
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		if rec.Schema != SchemaVersion && rec.Schema != SchemaV1 {
-			return nil, fmt.Errorf("line %d: schema %q, want %q or %q",
-				line, rec.Schema, SchemaVersion, SchemaV1)
-		}
-		if rec.Experiment == "" || rec.Cell == "" {
-			return nil, fmt.Errorf("line %d: record missing experiment or cell id", line)
-		}
-		recs = append(recs, rec)
+// trailing data, wrong schemas, and records with no experiment or cell
+// id — the strict complement of WriteJSONL, so a round-trip validates the
+// schema.
+func ReadJSONL(r io.Reader) ([]Record, error) { return codec.Read(r) }
+
+// checkRecord is the identity check ReadJSONL applies to each record.
+func checkRecord(rec *Record) error {
+	if rec.Experiment == "" || rec.Cell == "" {
+		return errors.New("record missing experiment or cell id")
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return recs, nil
+	return nil
 }

@@ -53,7 +53,7 @@ type ServeResult struct {
 	Campaign *tune.Result
 	Records  []Record
 	// Spans holds every cell's request-span tree (Cell-stamped), populated
-	// only when SetCellSpans is on.
+	// only under Options.Spans.
 	Spans []span.Span
 }
 
@@ -92,24 +92,24 @@ func serveSpecFor(s Scale, o ServeOptions, machineName string) serve.Spec {
 
 // serveMachine builds a serving cell's machine: always profiled (the tail
 // attribution is the experiment's point) and always tracing (the p999
-// correlation needs the event stream), independent of the global cell
-// toggles. Both are observation-only, so the measured cycles match an
-// uninstrumented run. withSpans additionally marks the machine for
-// request-span collection (also observation-only).
-func serveMachine(letter string, withSpans bool) *machine.Machine {
-	m := machineFor(letter)
-	o := machine.ObserveOptions{Profile: true, Spans: withSpans}
+// correlation needs the event stream), whatever o.Trace and o.Profile
+// say. Both are observation-only, so the measured cycles match an
+// uninstrumented run. Under o.Spans the machine is also marked for
+// request-span collection (observation-only too).
+func (o Options) serveMachine(letter string) *machine.Machine {
+	m := o.machineFor(letter)
+	obs := machine.ObserveOptions{Profile: true, Spans: o.Spans}
 	if _, ok := m.Trace().(*trace.Recorder); !ok {
-		o.Trace, o.SnapEvery = true, cellSnapEvery
+		obs.Trace, obs.SnapEvery = true, SnapEvery
 	}
-	m.Observe(o)
+	m.Observe(obs)
 	return m
 }
 
-// Serve runs the open-loop serving experiment at a scale with the given
-// options (zero values defer to the scale and serve defaults).
-func Serve(s Scale, o ServeOptions) (ServeResult, error) {
-	base := serveSpec(s, o)
+// Serve runs the open-loop serving experiment at a scale; o.Serve shapes
+// the stream (zero values defer to the scale and serve defaults).
+func Serve(s Scale, o Options) (ServeResult, error) {
+	base := serveSpec(s, o.Serve)
 	out := ServeResult{
 		MeanService: serve.CalibratedMeanService("Machine A", base),
 		SLOLabels:   serve.SLOMultiples(),
@@ -126,22 +126,21 @@ func Serve(s Scale, o ServeOptions) (ServeResult, error) {
 		sc  ServeCell
 		rec Record
 	}
-	withSpans := cellSpans
-	cells, err := core.Collect(runner, len(configs)*len(serveArrivals), func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, len(configs)*len(serveArrivals), func(i int) (cell, error) {
 		start := startCell()
 		c := configs[i/len(serveArrivals)]
 		arrival := serveArrivals[i%len(serveArrivals)]
-		m := serveMachine("A", withSpans)
+		m := o.serveMachine("A")
 		m.Configure(c.cfg)
 		sp := base
 		sp.Arrival = arrival
-		o := serve.Run(m, sp)
+		so := serve.Run(m, sp)
 		name := c.name + "/" + arrival
 		rec := finishCell(start, name,
 			map[string]string{"config": c.name, "arrival": arrival},
-			m, o.Result.WallCycles)
-		rec.Extra = serveExtra(o)
-		return cell{ServeCell{Name: name, Config: c.name, Arrival: arrival, Out: o}, rec}, nil
+			m, so.Result.WallCycles)
+		rec.Extra = serveExtra(so)
+		return cell{ServeCell{Name: name, Config: c.name, Arrival: arrival, Out: so}, rec}, nil
 	})
 	if err != nil {
 		return ServeResult{}, err
@@ -159,7 +158,7 @@ func Serve(s Scale, o ServeOptions) (ServeResult, error) {
 	res, err := tune.Run(tune.Spec{
 		Strategy: tune.StrategyDescent, Space: tune.DefaultSpace(),
 		Workload: "WS", Machine: "A", Threads: serveWorkers, Size: TuneSize(s),
-	}, runner, nil, nil, nil)
+	}, o.Runner, nil, nil, nil)
 	if err != nil {
 		return ServeResult{}, err
 	}

@@ -56,32 +56,26 @@ type ServeAdaptResult struct {
 // ServeAdapt runs the orchestrator-under-serving experiment at a scale.
 // Serve options shape the stream, Adapt options the orchestrator.
 func ServeAdapt(s Scale, o Options) (ServeAdaptResult, error) {
+	o.Spans = true // the blame join needs every cell's spans
 	out := ServeAdaptResult{SLOLabels: serve.SLOMultiples()}
 	type cell struct {
 		c   ServeAdaptCell
 		rec Record
 	}
 	grid := len(serveAdaptMachines) * len(serveAdaptConfigs)
-	cells, err := core.Collect(runner, grid, func(i int) (cell, error) {
+	cells, err := core.Collect(o.Runner, grid, func(i int) (cell, error) {
 		start := startCell()
 		letter := serveAdaptMachines[i/len(serveAdaptConfigs)]
 		config := serveAdaptConfigs[i%len(serveAdaptConfigs)]
 
-		m := serveMachine(letter, true)
+		m := o.serveMachine(letter)
 		m.Configure(machine.DefaultConfig(serveWorkers))
 		sp := serveSpecFor(s, o.Serve, m.Spec.Name)
 		sp.Arrival = serve.ArrivalBursty
 
 		var orch *orchestrator.Orchestrator
 		if config == "adaptive" {
-			oc := orchestrator.DefaultConfig()
-			if o.Adapt.Period > 0 {
-				oc.Period = o.Adapt.Period
-			}
-			if o.Adapt.BudgetFrac > 0 {
-				oc.BudgetFrac = o.Adapt.BudgetFrac
-			}
-			orch = orchestrator.New(oc)
+			orch = orchestrator.New(o.Adapt.config())
 			orch.Attach(m)
 			defer orch.Detach()
 		}

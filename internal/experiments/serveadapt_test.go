@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/span"
 )
 
@@ -13,14 +12,14 @@ import (
 // records (host_ns normalized), its rendered tables (p999 delta, blame,
 // decision journal) and the span JSONL stream — every byte the
 // acceptance criteria require to be reproducible.
-func serveAdaptArtifacts(t *testing.T) (jsonl []byte, tables string, spans []byte) {
+func serveAdaptArtifacts(t *testing.T, o Options) (jsonl []byte, tables string, spans []byte) {
 	t.Helper()
 	resetCaches()
 	d, err := Lookup("serve-adapt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Run(Tiny, Options{})
+	res, err := d.Run(Tiny, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,16 +47,12 @@ func serveAdaptArtifacts(t *testing.T) (jsonl []byte, tables string, spans []byt
 // three rendered tables and the span JSONL must match across serial,
 // four workers, and a repeated parallel run.
 func TestServeAdaptDeterministicUnderParallelism(t *testing.T) {
-	defer SetRunner(core.Runner{})
-
-	SetRunner(core.Runner{Workers: 1})
-	jsonlSerial, tablesSerial, spansSerial := serveAdaptArtifacts(t)
+	jsonlSerial, tablesSerial, spansSerial := serveAdaptArtifacts(t, workers(1))
 	if len(jsonlSerial) == 0 || len(tablesSerial) == 0 || len(spansSerial) == 0 {
 		t.Fatal("empty serve-adapt artifacts")
 	}
 
-	SetRunner(core.Runner{Workers: 4})
-	jsonlPar, tablesPar, spansPar := serveAdaptArtifacts(t)
+	jsonlPar, tablesPar, spansPar := serveAdaptArtifacts(t, workers(4))
 	if !bytes.Equal(jsonlSerial, jsonlPar) {
 		t.Error("serve-adapt JSONL differs between serial and parallel-4 runs")
 	}
@@ -68,8 +63,7 @@ func TestServeAdaptDeterministicUnderParallelism(t *testing.T) {
 		t.Error("serve-adapt span JSONL differs between serial and parallel-4 runs")
 	}
 
-	SetRunner(core.Runner{Workers: 4})
-	jsonlAgain, tablesAgain, spansAgain := serveAdaptArtifacts(t)
+	jsonlAgain, tablesAgain, spansAgain := serveAdaptArtifacts(t, workers(4))
 	if !bytes.Equal(jsonlPar, jsonlAgain) {
 		t.Error("serve-adapt JSONL differs between two parallel-4 runs")
 	}
@@ -87,15 +81,8 @@ func TestServeAdaptDeterministicUnderParallelism(t *testing.T) {
 // off — spans are assembled purely from telemetry reads and never touch
 // the simulation.
 func TestServeSpansObservationOnly(t *testing.T) {
-	SetRunner(core.Runner{Workers: 0})
-	defer SetRunner(core.Runner{})
-	defer SetCellSpans(false)
-
-	SetCellSpans(false)
-	jsonlOff, tablesOff := serveArtifacts(t)
-
-	SetCellSpans(true)
-	jsonlOn, tablesOn := serveArtifacts(t)
+	jsonlOff, tablesOff := serveArtifacts(t, Options{})
+	jsonlOn, tablesOn := serveArtifacts(t, Options{Spans: true})
 
 	if !bytes.Equal(jsonlOff, jsonlOn) {
 		t.Error("serve JSONL differs with spans on vs off — span collection perturbed the run")
@@ -110,8 +97,6 @@ func TestServeSpansObservationOnly(t *testing.T) {
 // and every request span has queue-wait and service children whose IDs
 // resolve.
 func TestServeAdaptSpansWellFormed(t *testing.T) {
-	SetRunner(core.Runner{Workers: 0})
-	defer SetRunner(core.Runner{})
 	resetCaches()
 	r, err := ServeAdapt(Tiny, Options{})
 	if err != nil {

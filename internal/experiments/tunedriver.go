@@ -41,14 +41,14 @@ type TuneResult struct {
 // Tune runs the tuning-campaign experiment at a scale. Every campaign
 // dispatches its trials through the shared runner, so the cells
 // parallelize like any other driver while artifacts stay byte-identical.
-func Tune(s Scale) (TuneResult, error) {
+func Tune(s Scale, o Options) (TuneResult, error) {
 	size := TuneSize(s)
 	var out TuneResult
 	run := func(strategy, wl, mc string) (*tune.Result, error) {
 		res, err := tune.Run(tune.Spec{
 			Strategy: strategy, Space: tune.DefaultSpace(),
 			Workload: wl, Machine: mc, Size: size,
-		}, runner, nil, nil, nil)
+		}, o.Runner, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}

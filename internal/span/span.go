@@ -10,19 +10,19 @@
 // is observation-only by construction. IDs derive from the run's xrand
 // seed material, so the same run always yields byte-identical spans.
 //
-// The JSONL serialization is schema "repro/spans/v1" with the same strict
-// reader contract as the experiment records ("repro/bench/v2"): unknown
-// fields, wrong schemas and structurally invalid spans are rejected, so a
-// write/read round-trip validates the schema.
+// The JSONL serialization is schema "repro/spans/v1", read and written by
+// the strict codec every artifact shares (internal/jsonl): unknown fields,
+// data after a line's object, wrong schemas and structurally invalid spans
+// are rejected, so a write/read round-trip validates the schema.
 package span
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/jsonl"
 )
 
 // Schema identifies the span JSONL layout. Bump on any field-meaning
@@ -86,67 +86,36 @@ type Span struct {
 // Duration returns End - Start in the span's clock domain.
 func (s Span) Duration() float64 { return s.End - s.Start }
 
+// codec reads and writes the repro/spans/v1 layout.
+var codec = jsonl.NewFormat(Schema, func(s *Span) *string { return &s.Schema }, checkSpan)
+
 // WriteJSONL writes one JSON object per span, newline-delimited. Missing
 // Schema fields are stamped. Output order is input order; spans from a
 // fixed seed serialize byte-identically.
-func WriteJSONL(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range spans {
-		s := spans[i]
-		if s.Schema == "" {
-			s.Schema = Schema
-		}
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func WriteJSONL(w io.Writer, spans []Span) error { return codec.Write(w, spans) }
+
+// ReadJSONL parses newline-delimited spans, rejecting unknown fields,
+// trailing data, wrong schemas, unknown kinds and spans without an id —
+// the strict complement of WriteJSONL.
+func ReadJSONL(r io.Reader) ([]Span, error) { return codec.Read(r) }
 
 var validKinds = map[string]bool{
 	KindSession: true, KindRequest: true, KindQueueWait: true,
 	KindService: true, KindPhase: true,
 }
 
-// ReadJSONL parses newline-delimited spans, rejecting unknown fields,
-// wrong schemas, unknown kinds and spans without an id — the strict
-// complement of WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Span, error) {
-	var spans []Span
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(b))
-		dec.DisallowUnknownFields()
-		var s Span
-		if err := dec.Decode(&s); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		if s.Schema != Schema {
-			return nil, fmt.Errorf("line %d: schema %q, want %q", line, s.Schema, Schema)
-		}
-		if s.ID == 0 {
-			return nil, fmt.Errorf("line %d: span has no id", line)
-		}
-		if !validKinds[s.Kind] {
-			return nil, fmt.Errorf("line %d: unknown span kind %q", line, s.Kind)
-		}
-		if s.End < s.Start {
-			return nil, fmt.Errorf("line %d: span ends (%g) before it starts (%g)", line, s.End, s.Start)
-		}
-		spans = append(spans, s)
+// checkSpan is the structural check ReadJSONL applies to each span.
+func checkSpan(s *Span) error {
+	if s.ID == 0 {
+		return errors.New("span has no id")
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if !validKinds[s.Kind] {
+		return fmt.Errorf("unknown span kind %q", s.Kind)
 	}
-	return spans, nil
+	if s.End < s.Start {
+		return fmt.Errorf("span ends (%g) before it starts (%g)", s.End, s.Start)
+	}
+	return nil
 }
 
 // BlameRow attributes one migration-family mechanism's service cycles to

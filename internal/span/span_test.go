@@ -91,6 +91,18 @@ func TestStrictReader(t *testing.T) {
 	}
 }
 
+// TestReadJSONLRejectsTrailingData pins one object per line: data after
+// a valid span's object fails the read, and the error names its line.
+func TestReadJSONLRejectsTrailingData(t *testing.T) {
+	good := `{"schema":"repro/spans/v1","id":1,"kind":"request","name":"point","seq":0,"session":0,"thread":0,"start":0,"end":10}`
+	for _, tail := range []string{" garbage", "]", `{"schema":"bogus"}`} {
+		_, err := ReadJSONL(strings.NewReader(good + "\n" + good + tail + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("trailing %q: got %v, want an error naming line 2", tail, err)
+		}
+	}
+}
+
 // TestBlame checks the attribution math: mechanism cycles split across
 // initiators by event counts, with the unknown fallback, and tail shares
 // computed over the tail cohort only.

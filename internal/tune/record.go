@@ -1,13 +1,13 @@
 package tune
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/internal/jsonl"
 	"repro/internal/machine"
 )
 
@@ -126,66 +126,25 @@ func (r Record) result() TrialResult {
 	}
 }
 
+// codec reads and writes the repro/tune/v1 layout.
+var codec = jsonl.NewFormat(SchemaVersion, func(r *Record) *string { return &r.Schema }, checkRecord)
+
 // WriteJSONL appends one JSON object per record to w, newline-delimited,
 // in input order. Missing Schema fields are stamped with SchemaVersion.
-func WriteJSONL(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range recs {
-		r := recs[i]
-		if r.Schema == "" {
-			r.Schema = SchemaVersion
-		}
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func WriteJSONL(w io.Writer, recs []Record) error { return codec.Write(w, recs) }
 
 // ReadJSONL parses newline-delimited campaign records, rejecting unknown
-// fields, wrong schemas, and records missing their campaign or point
-// identity — the strict complement of WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	var recs []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		rec, err := parseRecord(b)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
+// fields, trailing data, wrong schemas, and records missing their
+// campaign or point identity — the strict complement of WriteJSONL.
+func ReadJSONL(r io.Reader) ([]Record, error) { return codec.Read(r) }
 
-func parseRecord(b []byte) (Record, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var rec Record
-	if err := dec.Decode(&rec); err != nil {
-		return Record{}, err
-	}
-	if rec.Schema != SchemaVersion {
-		return Record{}, fmt.Errorf("schema %q, want %q", rec.Schema, SchemaVersion)
-	}
+// checkRecord is the identity check ReadJSONL applies to each record.
+func checkRecord(rec *Record) error {
 	if rec.Campaign == "" || rec.Key == "" {
-		return Record{}, fmt.Errorf("record missing campaign or point key")
+		return errors.New("record missing campaign or point key")
 	}
-	if _, err := rec.trialKey(); err != nil {
-		return Record{}, err
-	}
-	return rec, nil
+	_, err := rec.trialKey()
+	return err
 }
 
 // LoadCheckpoint reads a campaign artifact for resumption. Unlike the
@@ -200,23 +159,15 @@ func LoadCheckpoint(path string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	var recs []Record
-	lines := bytes.Split(data, []byte("\n"))
-	for i, b := range lines {
-		b = bytes.TrimSpace(b)
-		if len(b) == 0 {
-			continue
-		}
-		rec, perr := parseRecord(b)
-		if perr != nil {
-			// A partial final line (kill mid-write leaves no trailing
-			// newline) is recoverable; anything else is corruption.
-			if i == len(lines)-1 && !bytes.HasSuffix(data, []byte("\n")) {
-				break
-			}
-			return nil, fmt.Errorf("%s: line %d: %w", path, i+1, perr)
-		}
-		recs = append(recs, rec)
+	recs, err := ReadJSONL(bytes.NewReader(data))
+	if err != nil && !bytes.HasSuffix(data, []byte("\n")) {
+		// Re-read without the unterminated last line: if that line was
+		// the one rejected, the rest loads; corruption anywhere else
+		// fails again.
+		recs, err = ReadJSONL(bytes.NewReader(data[:bytes.LastIndexByte(data, '\n')+1]))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return recs, nil
 }

@@ -238,6 +238,26 @@ func TestReadJSONLStrict(t *testing.T) {
 	}
 }
 
+// TestReadJSONLRejectsTrailingData pins one object per line: data after
+// a valid trial's object fails the read, and the error names its line.
+func TestReadJSONLRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	rec := Record{Campaign: "sha/W1/A", Key: "k", Point: pointJSON(DefaultPoint())}
+	if err := WriteJSONL(&buf, []Record{rec}); err != nil {
+		t.Fatal(err)
+	}
+	line := strings.TrimSuffix(buf.String(), "\n")
+	if _, err := ReadJSONL(strings.NewReader(line + "\n")); err != nil {
+		t.Fatalf("valid trial rejected: %v", err)
+	}
+	for _, tail := range []string{" garbage", "]", `{"schema":"bogus"}`} {
+		_, err := ReadJSONL(strings.NewReader(line + "\n" + line + tail + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2:") {
+			t.Errorf("trailing %q: got %v, want an error naming line 2", tail, err)
+		}
+	}
+}
+
 func TestLoadCheckpoint(t *testing.T) {
 	res := descentResult(t)
 	dir := t.TempDir()
@@ -265,6 +285,37 @@ func TestLoadCheckpoint(t *testing.T) {
 	}
 	if len(recs) != len(res.Records)-1 {
 		t.Fatalf("torn checkpoint: %d records, want %d", len(recs), len(res.Records)-1)
+	}
+
+	// Cut a small artifact at every byte offset: each prefix loads, and
+	// yields exactly the records whose object ends inside it, in order.
+	var sb bytes.Buffer
+	if err := WriteJSONL(&sb, res.Records[:2]); err != nil {
+		t.Fatal(err)
+	}
+	small := sb.Bytes()
+	for cut := 0; cut <= len(small); cut++ {
+		if err := os.WriteFile(path, small[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		// A record's object ends where its newline starts.
+		want := 0
+		for i := 0; i <= cut && i < len(small); i++ {
+			if small[i] == '\n' {
+				want = i + 1
+			}
+		}
+		var got bytes.Buffer
+		if err := WriteJSONL(&got, recs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), small[:want]) {
+			t.Fatalf("cut at %d: loaded %d records, want %d", cut, len(recs), bytes.Count(small[:want], []byte("\n")))
+		}
 	}
 
 	// Corruption anywhere else must be reported.
