@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -124,6 +126,7 @@ func TestContainsMatchesAccessProperty(t *testing.T) {
 	c := New(256, 4)
 	f := func(tags []uint64) bool {
 		for _, tag := range tags {
+			tag = c.accepted(tag)
 			c.Access(tag)
 			if !c.Contains(tag) {
 				return false // just-inserted tag must be resident
@@ -157,7 +160,11 @@ func TestAccessLeavesTagMRU(t *testing.T) {
 	a, ref := New(64, 4), newRefCache(64, 4)
 	f := func(tags []uint64) bool {
 		for _, tag := range tags {
-			if a.Access(tag) != ref.Access(tag) || a.set(tag)[0] != tag+1 {
+			tag = a.accepted(tag)
+			if a.Access(tag) != ref.Access(tag) {
+				return false
+			}
+			if order, _ := a.order(tag); order[0] != tag {
 				return false
 			}
 		}
@@ -457,29 +464,84 @@ func (c *Cache) order(tag uint64) ([]uint64, bool) {
 	}
 	tags := make([]uint64, n)
 	for i, v := range s[:n] {
-		tags[i] = v - 1
+		tags[i] = uint64(v-1)<<c.setBits | tag&c.setMask
 	}
 	return tags, true
 }
 
-// maxTag is the largest tag a Cache accepts: a slot holds tag+1.
-const maxTag = ^uint64(0) - 1
+// maxTag returns the largest tag a Cache with sets sets accepts: a slot
+// holds the tag's bits above the set index plus one, in 32 bits.
+func maxTag(sets uint64) uint64 {
+	return (math.MaxUint32-1)<<bits.TrailingZeros64(sets) | (sets - 1)
+}
+
+// accepted maps an arbitrary tag onto the range c accepts.
+func (c *Cache) accepted(tag uint64) uint64 { return tag % (maxTag(c.setMask+1) + 1) }
+
+// panics reports whether f panics.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
+// TestOutOfRangeTag: past the largest accepted tag, the first tag's slot
+// value would wrap to the empty marker, and the one a set further would
+// truncate to tag 0's. In an empty set, a set holding tag 0 and a full
+// set, both must panic in Access with the set and counters unchanged, and
+// Contains and Invalidate must report them absent.
+func TestOutOfRangeTag(t *testing.T) {
+	for _, g := range fuzzGeometries {
+		c := New(g[0], g[1])
+		sets := uint64(c.Entries() / g[1])
+		first := maxTag(sets) + 1
+		for _, fill := range []int{0, 1, g[1]} {
+			c.Flush()
+			for k := range fill {
+				c.Access(uint64(k) * sets)
+			}
+			before := slices.Clone(c.set(0))
+			acc, miss := c.Stats()
+			for _, tag := range []uint64{first, first + sets} {
+				if tag&c.setMask != 0 {
+					t.Fatalf("%v: tag %#x does not map to set 0", g, tag)
+				}
+				if c.Contains(tag) {
+					t.Errorf("%v, %d resident: Contains(%#x) = true", g, fill, tag)
+				}
+				if c.Invalidate(tag) {
+					t.Errorf("%v, %d resident: Invalidate(%#x) = true", g, fill, tag)
+				}
+				if !panics(func() { c.Access(tag) }) {
+					t.Errorf("%v, %d resident: Access(%#x) did not panic", g, fill, tag)
+				}
+				if got := c.set(0); !slices.Equal(got, before) {
+					t.Errorf("%v, %d resident: tag %#x changed set 0 from %x to %x", g, fill, tag, before, got)
+				}
+				if a, m := c.Stats(); a != acc || m != miss {
+					t.Errorf("%v, %d resident: tag %#x changed stats %d/%d to %d/%d", g, fill, tag, acc, miss, a, m)
+				}
+			}
+		}
+	}
+}
 
 // fuzzGeometries are the (entries, ways) shapes FuzzCacheMatchesLRU
 // drives, from a single direct-mapped entry up to the LLC's 16 ways.
 var fuzzGeometries = [...][2]int{{1, 1}, {16, 2}, {64, 4}, {1024, 8}, {4096, 16}}
 
 // fuzzTag decodes one operation's tag. Bit 3 of op picks one of two sets:
-// set 0, which holds tag 0, or the set of maxTag. Values of a below 0xf0
-// name 24 low tags of that set, enough to overflow every geometry; 0xf0
-// and above name the 16 largest tags of maxTag's set, maxTag first.
+// set 0, which holds tag 0, or the set of the geometry's largest accepted
+// tag, maxTag(sets). Values of a below 0xf0 name 24 low tags of that set,
+// enough to overflow every geometry; 0xf0 and above name the 16 largest
+// tags of maxTag's set, maxTag first.
 func fuzzTag(op, a byte, sets uint64) uint64 {
 	if a >= 0xf0 {
-		return maxTag - uint64(a-0xf0)*sets
+		return maxTag(sets) - uint64(a-0xf0)*sets
 	}
 	set := uint64(0)
 	if op&8 != 0 {
-		set = maxTag & (sets - 1)
+		set = sets - 1
 	}
 	return set + uint64(a%24)*sets
 }
@@ -578,7 +640,7 @@ func FuzzCacheMatchesLRU(f *testing.F) {
 			if acc != refAcc || miss != refMiss {
 				t.Fatalf("step %d: stats %d/%d, reference %d/%d", i/2, acc, miss, refAcc, refMiss)
 			}
-			for _, probe := range []uint64{0, maxTag} {
+			for _, probe := range []uint64{0, maxTag(sets)} {
 				order, ok := c.order(probe)
 				if !ok {
 					t.Fatalf("step %d: empty slot before a resident one in set of %#x", i/2, probe)

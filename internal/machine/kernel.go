@@ -1,7 +1,7 @@
 package machine
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -76,7 +76,7 @@ func (m *Machine) autoNUMAPass(threads []*Thread) {
 	for vpn := range m.samples { //rangecheck:ok keys sorted immediately below
 		vpns = append(vpns, vpn)
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	slices.Sort(vpns)
 
 	migrated := 0
 	for _, vpn := range vpns {

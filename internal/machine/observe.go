@@ -1,7 +1,7 @@
 package machine
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -179,7 +179,7 @@ func (v *Telemetry) HotPages() []HotPage {
 	for vpn := range m.samples { //rangecheck:ok keys sorted immediately below
 		vpns = append(vpns, vpn)
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	slices.Sort(vpns)
 	out := make([]HotPage, 0, len(vpns))
 	for _, vpn := range vpns {
 		e := m.samples[vpn]

@@ -1,6 +1,6 @@
 package machine
 
-import "sort"
+import "maps"
 
 // The round-based scheduler defers everything a thread's quantum can
 // touch outside its own NUMA node to the round boundary, where it merges
@@ -135,8 +135,10 @@ func (m *Machine) finishQuantum(t *Thread, start float64) {
 }
 
 // mergeThreadDeltas folds one thread's round-local accumulators into the
-// machine: counters, the contention window, and AutoNUMA samples (sorted
-// by page so map order never leaks into the simulation).
+// machine: counters, the contention window, and AutoNUMA samples. A
+// thread's sample keys are distinct, so their writes commute and map order
+// cannot leak into the simulation; every reader of m.samples sorts its
+// keys first.
 func (m *Machine) mergeThreadDeltas(t *Thread) {
 	m.counters.TLBMisses += t.counters.TLBMisses
 	m.counters.CacheAccesses += t.counters.CacheAccesses
@@ -153,15 +155,6 @@ func (m *Machine) mergeThreadDeltas(t *Thread) {
 	m.windowTotal += t.winDelta
 	m.remoteWin += t.remoteDelta
 	t.winDelta, t.remoteDelta = 0, 0
-	if len(t.sampleDelta) > 0 {
-		vpns := make([]uint64, 0, len(t.sampleDelta))
-		for vpn := range t.sampleDelta { //rangecheck:ok keys sorted immediately below
-			vpns = append(vpns, vpn)
-		}
-		sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-		for _, vpn := range vpns {
-			m.samples[vpn] = t.sampleDelta[vpn]
-			delete(t.sampleDelta, vpn)
-		}
-	}
+	maps.Copy(m.samples, t.sampleDelta)
+	clear(t.sampleDelta)
 }

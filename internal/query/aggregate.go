@@ -2,7 +2,7 @@ package query
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/datagen"
 	"repro/internal/hashtable"
@@ -162,9 +162,8 @@ func medianOf(vals []uint64) uint64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	s := make([]uint64, len(vals))
-	copy(s, vals)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(vals)
+	slices.Sort(s)
 	return s[(len(s)-1)/2]
 }
 

@@ -18,6 +18,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/datagen"
@@ -743,7 +744,7 @@ func buildSpans(sp Spec, reqs []Request, svc []perReq, latency, wait []float64, 
 	for sid := range sessions {
 		sids = append(sids, sid)
 	}
-	sort.Slice(sids, func(a, b int) bool { return sids[a] < sids[b] })
+	slices.Sort(sids)
 
 	spans := make([]span.Span, 0, len(sids)+4*len(reqs))
 	sessID := make(map[uint64]uint64, len(sids))
