@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -115,7 +116,8 @@ func BenchmarkAccessPathWriteRun(b *testing.B) {
 //	coherence — 256 accesses by each of two threads on nodes 0 and 1, which
 //	            alternately write and read the same 4,096 lines; every
 //	            access misses L1, so it goes through coherencePenalty
-//	first-run — the first Run on a fresh machine, 16 threads charging once
+//	first-run — the first Run on a fresh machine, 16 threads charging once,
+//	            timed from a just-collected heap
 //
 // Run with a fixed iteration count, since simulated state depends on it:
 //
@@ -163,6 +165,10 @@ func BenchmarkLayer(b *testing.B) {
 			b.StopTimer()
 			m := NewA()
 			m.Configure(TunedConfig(16))
+			// Start every timed Run from the same collector state: an
+			// iteration allocates about one heap goal, so without this
+			// the timed share of collections follows allocation sizes.
+			runtime.GC()
 			b.StartTimer()
 			m.Run(16, func(t *Thread) { t.Charge(1) })
 		}

@@ -53,12 +53,12 @@ const tupleBytes = 16
 type group struct {
 	creator   int    // thread that created the group (median-pass owner)
 	countAddr uint64 // W2: 8-byte counter in simulated memory
-	count     uint64
+	count     uint64 // W2's running count, or W1's buffered tuples
 	// W1: each input tuple is buffered in its own allocation; the median
 	// pass walks, reads and frees them. This is what makes W1 the paper's
-	// allocation-heavy aggregation.
-	tupleAddrs []uint64
-	vals       []uint64
+	// allocation-heavy aggregation. The tuples chain through Aggregate's
+	// per-record arrays in arrival order, from record first to record last.
+	first, last int32
 }
 
 // Aggregate executes the hashtable-based aggregation workload and returns
@@ -70,6 +70,14 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 	threads := m.Config().Threads
 	var table *hashtable.Table
 	groups := make([]*group, 0, spec.Cardinality)
+	// W1's tuple chains: tupleAddr[i] is record i's buffered tuple, and
+	// next[i] the record buffered after it in the same group.
+	var tupleAddr []uint64
+	var next []int32
+	if spec.Holistic {
+		tupleAddr = make([]uint64, len(spec.Records))
+		next = make([]int32, len(spec.Records))
+	}
 
 	// The shared table is created by the first worker, as in the paper's
 	// codelets; sizing at twice the cardinality keeps chains short.
@@ -99,8 +107,14 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 				// Buffer the tuple for the median: one allocation per
 				// input record.
 				addr := t.Malloc(tupleBytes)
-				g.tupleAddrs = append(g.tupleAddrs, addr)
-				g.vals = append(g.vals, rec.Val)
+				tupleAddr[i] = addr
+				if g.count == 0 {
+					g.first = int32(i)
+				} else {
+					next[g.last] = int32(i)
+				}
+				g.last = int32(i)
+				g.count++
 				t.Write(addr, tupleBytes)
 			} else {
 				t.Read(g.countAddr, 8)
@@ -115,19 +129,24 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 			// local under First Touch — the paper's high measured LAR.
 			for gi := range groups {
 				g := groups[gi]
-				if g.creator != t.ID() {
+				if g.creator != t.ID() || g.count == 0 {
 					continue
 				}
-				if len(g.tupleAddrs) == 0 {
-					continue
+				// Other threads may still be appending to g, so each
+				// loop covers exactly the tuples buffered when it starts.
+				for r, last := g.first, g.last; ; r = next[r] {
+					t.Read(tupleAddr[r], tupleBytes)
+					if r == last {
+						break
+					}
 				}
-				for _, addr := range g.tupleAddrs {
-					t.Read(addr, tupleBytes)
-				}
-				n := float64(len(g.tupleAddrs))
+				n := float64(g.count)
 				t.Charge(12 * n * math.Log2(n+1)) // in-place sort
-				for _, addr := range g.tupleAddrs {
-					t.Free(addr, tupleBytes)
+				for r, last := g.first, g.last; ; r = next[r] {
+					t.Free(tupleAddr[r], tupleBytes)
+					if r == last {
+						break
+					}
 				}
 			}
 		}
@@ -140,12 +159,17 @@ func Aggregate(m *machine.Machine, spec AggregationSpec) Outcome {
 		// orphans from lost upsert races.
 		Groups: table.Len(),
 	}
+	var vals []uint64 // one group's buffered values, reused
 	for _, g := range groups {
-		if spec.Holistic {
-			out.Checksum += medianOf(g.vals)
-		} else {
+		if !spec.Holistic {
 			out.Checksum += g.count
+			continue
 		}
+		vals = vals[:0]
+		for r, k := g.first, uint64(0); k < g.count; r, k = next[r], k+1 {
+			vals = append(vals, spec.Records[r].Val)
+		}
+		out.Checksum += medianOf(vals)
 	}
 	return out
 }
@@ -158,13 +182,13 @@ func combine(a, b machine.Result) machine.Result {
 }
 
 // medianOf returns the median (lower middle) of vals, used for checksums.
+// It sorts vals in place.
 func medianOf(vals []uint64) uint64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	s := slices.Clone(vals)
-	slices.Sort(s)
-	return s[(len(s)-1)/2]
+	slices.Sort(vals)
+	return vals[(len(vals)-1)/2]
 }
 
 // ReferenceAggregate computes the same aggregate in plain Go, for tests.

@@ -267,7 +267,7 @@ type workset struct {
 	idx      index.Index
 	eng      *tpch.Engine
 	liRows   int
-	tpchCols []string
+	tpchCols tpch.Cols
 	setup    float64
 }
 
@@ -276,7 +276,7 @@ type workset struct {
 // First Touch places everything on the loader's node — the serving phase
 // then fights the same placement battle the paper's workloads do.
 func prepare(m *machine.Machine, sp Spec) *workset {
-	w := &workset{tpchCols: []string{"discount", "extendedprice", "quantity", "shipdate"}}
+	w := &workset{tpchCols: tpch.Resolve("lineitem", "discount", "extendedprice", "quantity", "shipdate")}
 	recs := datagen.CachedGenerate(datagen.MovingClusterDist, sp.DataRows, sp.DataCard, 11)
 	base, loadCycles := query.LoadRecords(m, recs)
 	w.recsBase, w.recRows = base, len(recs)
@@ -408,7 +408,7 @@ func (w *workset) serveOne(t *machine.Thread, rq *Request, ph *phaseTracker) {
 			start = int(rq.Param % uint64(w.liRows-win))
 		}
 		for j := 0; j < win; j++ {
-			w.eng.Scan(t, "lineitem", w.tpchCols, start+j)
+			w.eng.Scan(t, w.tpchCols, start+j)
 		}
 		if ph != nil {
 			ph.mark("scan")

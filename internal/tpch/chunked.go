@@ -31,14 +31,20 @@ type StorageOptions struct {
 // profile and storage layout. StorageOptions{} reproduces NewEngine's
 // single-region behaviour bit for bit.
 func NewEngineStorage(prof Profile, m *machine.Machine, db *DB, opts StorageOptions) *Engine {
-	e := &Engine{Prof: prof, M: m, DB: db, tables: map[string]*tableMem{}}
-	names, counts := tableOrder(db)
+	e := &Engine{Prof: prof, M: m, DB: db}
+	for ti := range e.tables {
+		tm := &e.tables[ti]
+		tm.rows = schema[ti].rows(db)
+		for _, c := range schema[ti].cols {
+			tm.rowWidth += c.width
+		}
+	}
 	if opts.Chunked {
 		e.chunked = true
 		e.cursors = make([]scanCursor, 256)
-		e.loadChunked(names, counts)
+		e.loadChunked()
 	} else {
-		e.loadSingle(names, counts)
+		e.loadSingle()
 	}
 	e.allocTick = make([]uint64, 256)
 	e.ring = make([]chunk, 64)
@@ -54,38 +60,24 @@ func (e *Engine) Chunked() bool { return e.chunked }
 // on node i, so first touch places chunk i there; under OS-default
 // placement the loader threads migrate and the layout decays — the
 // sensitivity the numaware experiment measures).
-func (e *Engine) loadChunked(names []string, counts map[string]int) {
+func (e *Engine) loadChunked() {
 	m := e.M
 	nodes := m.Nodes()
-	for _, name := range names {
-		rows := counts[name]
-		widths := columnWidths[name]
-		cols := sortedCols(widths)
-		tm := &tableMem{
-			rows:     rows,
-			colBase:  map[string]uint64{},
-			layout:   numaop.NewChunkedColumn(1, rows, nodes),
-			colNames: cols,
+	for ti := range e.tables {
+		tm := &e.tables[ti]
+		tm.layout = numaop.NewChunkedColumn(1, tm.rows, nodes)
+		if !e.Prof.Columnar {
+			tm.rowChunk = numaop.NewChunkedColumn(tm.rowWidth, tm.rows, nodes)
+			continue
 		}
-		if e.Prof.Columnar {
-			tm.colChunk = map[string]*numaop.ChunkedColumn{}
-			for _, col := range cols {
-				w := widths[col]
-				tm.rowWidth += w
-				tm.colChunk[col] = numaop.NewChunkedColumn(w, rows, nodes)
-			}
-		} else {
-			for _, col := range cols {
-				tm.rowWidth += widths[col]
-			}
-			tm.rowChunk = numaop.NewChunkedColumn(tm.rowWidth, rows, nodes)
+		for _, c := range schema[ti].cols {
+			tm.colChunk = append(tm.colChunk, numaop.NewChunkedColumn(c.width, tm.rows, nodes))
 		}
-		e.tables[name] = tm
 	}
 	res := m.Run(nodes, func(t *machine.Thread) {
 		ci := t.ID()
-		for _, name := range names {
-			tm := e.tables[name]
+		for ti := range e.tables {
+			tm := &e.tables[ti]
 			if ci >= tm.layout.Chunks() {
 				continue
 			}
@@ -95,8 +87,7 @@ func (e *Engine) loadChunked(names []string, counts map[string]int) {
 			}
 			n := hi - lo
 			if e.Prof.Columnar {
-				for _, col := range tm.colNames {
-					cc := tm.colChunk[col]
+				for _, cc := range tm.colChunk {
 					base := t.Malloc(cc.ChunkBytes(ci))
 					cc.SetBase(ci, base)
 					touchPages(t, base, cc.Width, n)
@@ -126,32 +117,30 @@ func touchPages(t *machine.Thread, base, width uint64, n int) {
 // scanCursor caches one thread's current chunk window for the scalar
 // Scan path: while row i stays within [lo, hi) the access is a plain
 // base + i*width, with the chunk division paid once per window switch.
-// bases hold the chunk base minus lo*width (wrapping uint64 arithmetic,
-// exact on re-add), so the hot path needs no subtraction either.
+// bases hold each column's chunk base minus lo*width (wrapping uint64
+// arithmetic, exact on re-add), so the hot path needs no subtraction
+// either.
 type scanCursor struct {
-	table   string
+	table   int
 	lo, hi  int
 	rowBase uint64
-	bases   map[string]uint64
+	bases   []uint64 // per column, schema order
 }
 
 // cursor returns t's scan cursor positioned on the chunk holding row i
-// of table, refilling it on a table or chunk switch.
-func (e *Engine) cursor(t *machine.Thread, table string, tm *tableMem, i int) *scanCursor {
+// of table ti, refilling it on a table or chunk switch.
+func (e *Engine) cursor(t *machine.Thread, ti int, tm *tableMem, i int) *scanCursor {
 	cur := &e.cursors[t.ID()&255]
-	if cur.table == table && i >= cur.lo && i < cur.hi {
+	if cur.table == ti && i >= cur.lo && i < cur.hi {
 		return cur
 	}
 	ci := tm.layout.ChunkOf(i)
 	lo, hi := tm.layout.ChunkRange(ci)
-	cur.table, cur.lo, cur.hi = table, lo, hi
+	cur.table, cur.lo, cur.hi = ti, lo, hi
 	if e.Prof.Columnar {
-		if cur.bases == nil {
-			cur.bases = make(map[string]uint64, len(tm.colNames))
-		}
-		for _, col := range tm.colNames {
-			cc := tm.colChunk[col]
-			cur.bases[col] = cc.Base(ci) - uint64(lo)*cc.Width
+		cur.bases = cur.bases[:0]
+		for _, cc := range tm.colChunk {
+			cur.bases = append(cur.bases, cc.Base(ci)-uint64(lo)*cc.Width)
 		}
 	} else {
 		cur.rowBase = tm.rowChunk.Base(ci) - uint64(lo)*tm.rowWidth
@@ -159,14 +148,15 @@ func (e *Engine) cursor(t *machine.Thread, table string, tm *tableMem, i int) *s
 	return cur
 }
 
-// ParTable runs fn over table's rows split across the engine's workers.
-// With single-region storage it is exactly Par(rows, fn). With chunked
-// storage the split is affinity-matched: worker w serves chunk w%chunks —
-// under sparse pinning the chunk its own node owns — and workers sharing
-// a chunk sub-split its row range. When there are fewer workers than
-// chunks (e.g. MySQL's single thread) it falls back to the even split.
-func (e *Engine) ParTable(table string, fn func(t *machine.Thread, lo, hi int)) machine.Result {
-	tm := e.tables[table]
+// ParTable runs fn over the rows of c's table split across the engine's
+// workers. With single-region storage it is exactly Par(rows, fn). With
+// chunked storage the split is affinity-matched: worker w serves chunk
+// w%chunks — under sparse pinning the chunk its own node owns — and
+// workers sharing a chunk sub-split its row range. When there are fewer
+// workers than chunks (e.g. MySQL's single thread) it falls back to the
+// even split.
+func (e *Engine) ParTable(c Cols, fn func(t *machine.Thread, lo, hi int)) machine.Result {
+	tm := &e.tables[c.table]
 	if !e.chunked {
 		return e.Par(tm.rows, fn)
 	}
@@ -174,17 +164,17 @@ func (e *Engine) ParTable(table string, fn func(t *machine.Thread, lo, hi int)) 
 	if w < 1 {
 		w = 1
 	}
-	c := tm.layout.Chunks()
+	chunks := tm.layout.Chunks()
 	res := e.M.Run(w, func(t *machine.Thread) {
 		var lo, hi int
-		if w < c {
+		if w < chunks {
 			lo, hi = tm.rows*t.ID()/w, tm.rows*(t.ID()+1)/w
 		} else {
-			ci := t.ID() % c
+			ci := t.ID() % chunks
 			clo, chi := tm.layout.ChunkRange(ci)
 			span := chi - clo
-			kn := (w - ci + c - 1) / c // workers sharing this chunk
-			rank := t.ID() / c
+			kn := (w - ci + chunks - 1) / chunks // workers sharing this chunk
+			rank := t.ID() / chunks
 			lo, hi = clo+span*rank/kn, clo+span*(rank+1)/kn
 		}
 		fn(t, lo, hi)
@@ -193,26 +183,26 @@ func (e *Engine) ParTable(table string, fn func(t *machine.Thread, lo, hi int)) 
 	return res
 }
 
-// ScanBlocks scans rows [lo, hi) of table, invoking fn for each row.
+// ScanBlocks scans columns c of rows [lo, hi), invoking fn for each row.
 // With single-region storage it is exactly the per-row Scan loop the
 // queries always ran (scan, row body, scan, row body, ...). With chunked
 // storage each chunk extent is read with ONE batched ReadRun per column
 // — chunk arithmetic resolved once per extent, per the multi-ddata rule
 // — before fn runs over the extent's rows.
-func (e *Engine) ScanBlocks(t *machine.Thread, table string, cols []string, lo, hi int, fn func(i int)) {
+func (e *Engine) ScanBlocks(t *machine.Thread, c Cols, lo, hi int, fn func(i int)) {
 	if !e.chunked {
 		for i := lo; i < hi; i++ {
-			e.Scan(t, table, cols, i)
+			e.Scan(t, c, i)
 			fn(i)
 		}
 		return
 	}
-	tm := e.tables[table]
+	tm := &e.tables[c.table]
 	for _, ext := range tm.layout.Extents(lo, hi) {
 		elo, ehi := ext.Lo, ext.Lo+ext.Count
 		if e.Prof.Columnar {
-			for _, c := range cols {
-				tm.colChunk[c].ReadRange(t, elo, ehi)
+			for _, ci := range c.cols {
+				tm.colChunk[ci].ReadRange(t, elo, ehi)
 			}
 		} else {
 			tm.rowChunk.ReadRange(t, elo, ehi)

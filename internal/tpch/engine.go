@@ -1,7 +1,7 @@
 package tpch
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/numaop"
@@ -96,49 +96,95 @@ func min(a, b int) int {
 	return b
 }
 
-// Column widths (bytes) for the scan cost model, by table and column.
-var columnWidths = map[string]map[string]uint64{
-	"lineitem": {
-		"orderkey": 4, "partkey": 4, "suppkey": 4, "linenumber": 1,
-		"quantity": 4, "extendedprice": 8, "discount": 1, "tax": 1,
-		"returnflag": 1, "linestatus": 1, "shipdate": 4, "commitdate": 4,
-		"receiptdate": 4, "shipinstruct": 1, "shipmode": 1,
-	},
-	"orders": {
-		"orderkey": 4, "custkey": 4, "orderstatus": 1, "totalprice": 8,
-		"orderdate": 4, "orderpriority": 1, "shippriority": 1, "comment": 8,
-	},
-	"customer": {
-		"custkey": 4, "nationkey": 4, "mktsegment": 1, "acctbal": 8, "phone": 8,
-	},
-	"part": {
-		"partkey": 4, "brand": 1, "type": 2, "size": 1, "container": 1,
-		"retailprice": 8, "name": 16,
-	},
-	"partsupp": {
-		"partkey": 4, "suppkey": 4, "availqty": 4, "supplycost": 8,
-	},
-	"supplier": {
-		"suppkey": 4, "nationkey": 4, "acctbal": 8, "comment": 8,
-	},
+// column is one scanned column: its name and its width in bytes for the
+// scan cost model.
+type column struct {
+	name  string
+	width uint64
+}
+
+// tableSchema is one table of the static schema: its name, its row count
+// in a database, and its columns.
+type tableSchema struct {
+	name string
+	rows func(db *DB) int
+	cols []column
+}
+
+// schema is the static scan schema: every table, and each table's
+// columns, in strictly increasing name order. Tables and columns load in
+// this order, which fixes every simulated address, so reordering it moves
+// every TPC-H artifact.
+var schema = [...]tableSchema{
+	{"customer", func(db *DB) int { return len(db.Customers) }, []column{
+		{"acctbal", 8}, {"custkey", 4}, {"mktsegment", 1}, {"nationkey", 4}, {"phone", 8},
+	}},
+	{"lineitem", func(db *DB) int { return len(db.Lineitems) }, []column{
+		{"commitdate", 4}, {"discount", 1}, {"extendedprice", 8}, {"linenumber", 1},
+		{"linestatus", 1}, {"orderkey", 4}, {"partkey", 4}, {"quantity", 4},
+		{"receiptdate", 4}, {"returnflag", 1}, {"shipdate", 4}, {"shipinstruct", 1},
+		{"shipmode", 1}, {"suppkey", 4}, {"tax", 1},
+	}},
+	{"orders", func(db *DB) int { return len(db.Orders) }, []column{
+		{"comment", 8}, {"custkey", 4}, {"orderdate", 4}, {"orderkey", 4},
+		{"orderpriority", 1}, {"orderstatus", 1}, {"shippriority", 1}, {"totalprice", 8},
+	}},
+	{"part", func(db *DB) int { return len(db.Parts) }, []column{
+		{"brand", 1}, {"container", 1}, {"name", 16}, {"partkey", 4},
+		{"retailprice", 8}, {"size", 1}, {"type", 2},
+	}},
+	{"partsupp", func(db *DB) int { return len(db.PartSupps) }, []column{
+		{"availqty", 4}, {"partkey", 4}, {"suppkey", 4}, {"supplycost", 8},
+	}},
+	{"supplier", func(db *DB) int { return len(db.Suppliers) }, []column{
+		{"acctbal", 8}, {"comment", 8}, {"nationkey", 4}, {"suppkey", 4},
+	}},
+}
+
+// Cols is a scan's column set resolved against the static schema: the
+// table's index and, in the caller's order, each column's index in the
+// table's column list. Queries resolve their handles once, outside the
+// row loop, so a scanned row costs slice indexing, not name lookups.
+type Cols struct {
+	table int
+	cols  []int
+}
+
+// Resolve returns the handle for the named columns of table, keeping the
+// given column order (the order Scan reads them in). Every caller passes
+// literals, so an unknown table or column is a bug: it panics, naming it.
+func Resolve(table string, cols ...string) Cols {
+	ti := slices.IndexFunc(schema[:], func(s tableSchema) bool { return s.name == table })
+	if ti < 0 {
+		panic("tpch: unknown table " + table)
+	}
+	h := Cols{table: ti, cols: make([]int, len(cols))}
+	for i, name := range cols {
+		ci := slices.IndexFunc(schema[ti].cols, func(c column) bool { return c.name == name })
+		if ci < 0 {
+			panic("tpch: unknown column " + table + "." + name)
+		}
+		h.cols[i] = ci
+	}
+	return h
 }
 
 // tableMem is a table's simulated storage image: either one contiguous
 // region per column/row layout (the default, matching the paper's
-// engines) or per-node chunks (chunked.go).
+// engines) or per-node chunks (chunked.go). Per-column slices follow the
+// schema's column order.
 type tableMem struct {
 	rows     int
 	rowWidth uint64
-	rowBase  uint64            // row layout base (row stores)
-	colBase  map[string]uint64 // per-column bases (column stores)
+	rowBase  uint64   // row layout base (row stores)
+	colBase  []uint64 // per-column bases (column stores)
 
 	// Chunked storage (nil in single-region mode). layout carries the
 	// shared row->chunk geometry; every column of a table splits at the
 	// same rows, so one layout serves them all.
 	layout   *numaop.ChunkedColumn
-	colChunk map[string]*numaop.ChunkedColumn
+	colChunk []*numaop.ChunkedColumn
 	rowChunk *numaop.ChunkedColumn
-	colNames []string // sorted, for deterministic cursor refills
 }
 
 // Engine executes TPC-H queries on a machine under a profile.
@@ -147,9 +193,9 @@ type Engine struct {
 	M    *machine.Machine
 	DB   *DB
 
-	tables     map[string]*tableMem
-	allocTick  []uint64 // per-thread bookkeeping allocation counters
-	ring       []chunk  // engine-wide intermediate buffers in flight
+	tables     [len(schema)]tableMem // indexed like schema
+	allocTick  []uint64              // per-thread bookkeeping allocation counters
+	ring       []chunk               // engine-wide intermediate buffers in flight
 	ringPos    int
 	loadCycles float64
 	wall       float64 // accumulated wall cycles of the running query
@@ -171,70 +217,32 @@ func NewEngine(prof Profile, m *machine.Machine, db *DB) *Engine {
 	return NewEngineStorage(prof, m, db, StorageOptions{})
 }
 
-// tableOrder returns the table names and row counts in sorted order:
-// map iteration order would vary the allocation sequence run to run,
-// perturbing simulated addresses and breaking bit-for-bit
-// reproducibility.
-func tableOrder(db *DB) (names []string, counts map[string]int) {
-	counts = map[string]int{
-		"lineitem": len(db.Lineitems),
-		"orders":   len(db.Orders),
-		"customer": len(db.Customers),
-		"part":     len(db.Parts),
-		"partsupp": len(db.PartSupps),
-		"supplier": len(db.Suppliers),
-	}
-	names = make([]string, 0, len(counts))
-	for name := range counts { //rangecheck:ok sorted immediately below
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, counts
-}
-
-// sortedCols returns a table's column names in sorted order (same
-// map-order rationale as tableOrder).
-func sortedCols(widths map[string]uint64) []string {
-	cols := make([]string, 0, len(widths))
-	for col := range widths { //rangecheck:ok sorted immediately below
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	return cols
-}
-
 // loadSingle loads the database as one contiguous region per column (or
 // per row layout). Loading is single-threaded (a restore/import), so
 // First Touch places the database on the loader's node — the starting
 // point of the paper's placement story.
-func (e *Engine) loadSingle(names []string, counts map[string]int) {
+func (e *Engine) loadSingle() {
 	m := e.M
 	res := m.Run(1, func(t *machine.Thread) {
-		for _, name := range names {
-			rows := counts[name]
-			widths := columnWidths[name]
-			cols := sortedCols(widths)
-			tm := &tableMem{rows: rows, colBase: map[string]uint64{}}
-			for _, col := range cols {
-				w := widths[col]
-				tm.rowWidth += w
-				if e.Prof.Columnar {
-					base := t.Malloc(uint64(rows) * w)
-					tm.colBase[col] = base
-					step := int(4096 / w) // touch each page
-					t.WriteStrided(base, w, uint64(step)*w, (rows+step-1)/step)
-				}
-			}
+		for ti := range e.tables {
+			tm := &e.tables[ti]
 			if !e.Prof.Columnar {
-				tm.rowBase = t.Malloc(uint64(rows) * tm.rowWidth)
+				tm.rowBase = t.Malloc(uint64(tm.rows) * tm.rowWidth)
 				step := int(4096 / tm.rowWidth)
 				if step < 1 {
 					step = 1
 				}
 				t.WriteStrided(tm.rowBase, tm.rowWidth,
-					uint64(step)*tm.rowWidth, (rows+step-1)/step)
+					uint64(step)*tm.rowWidth, (tm.rows+step-1)/step)
+				continue
 			}
-			e.tables[name] = tm
+			for _, c := range schema[ti].cols {
+				w := c.width
+				base := t.Malloc(uint64(tm.rows) * w)
+				tm.colBase = append(tm.colBase, base)
+				step := int(4096 / w) // touch each page
+				t.WriteStrided(base, w, uint64(step)*w, (tm.rows+step-1)/step)
+			}
 		}
 	})
 	e.loadCycles = res.WallCycles
@@ -245,26 +253,24 @@ func (e *Engine) loadSingle(names []string, counts map[string]int) {
 // allocations. With chunked storage, point addressing goes through a
 // per-thread cursor (chunked.go) so chunk-index arithmetic amortizes over
 // the cursor's chunk window instead of recurring per element.
-func (e *Engine) Scan(t *machine.Thread, table string, cols []string, i int) {
-	tm := e.tables[table]
-	if e.chunked {
-		cur := e.cursor(t, table, tm, i)
-		if e.Prof.Columnar {
-			widths := columnWidths[table]
-			for _, c := range cols {
-				w := widths[c]
-				t.Read(cur.bases[c]+uint64(i)*w, w)
-			}
-		} else {
-			t.Read(cur.rowBase+uint64(i)*tm.rowWidth, tm.rowWidth)
+func (e *Engine) Scan(t *machine.Thread, c Cols, i int) {
+	tm := &e.tables[c.table]
+	cols := schema[c.table].cols
+	switch {
+	case e.chunked && e.Prof.Columnar:
+		bases := e.cursor(t, c.table, tm, i).bases
+		for _, ci := range c.cols {
+			w := cols[ci].width
+			t.Read(bases[ci]+uint64(i)*w, w)
 		}
-	} else if e.Prof.Columnar {
-		widths := columnWidths[table]
-		for _, c := range cols {
-			w := widths[c]
-			t.Read(tm.colBase[c]+uint64(i)*w, w)
+	case e.chunked:
+		t.Read(e.cursor(t, c.table, tm, i).rowBase+uint64(i)*tm.rowWidth, tm.rowWidth)
+	case e.Prof.Columnar:
+		for _, ci := range c.cols {
+			w := cols[ci].width
+			t.Read(tm.colBase[ci]+uint64(i)*w, w)
 		}
-	} else {
+	default:
 		t.Read(tm.rowBase+uint64(i)*tm.rowWidth, tm.rowWidth)
 	}
 	t.Charge(e.Prof.TupleCycles)

@@ -45,13 +45,13 @@ func mergeCharge(t *machine.Thread, n int) { t.Charge(30 + 4*float64(n)) }
 func (e *Engine) q1() int64 {
 	db := e.DB
 	cutoff := int32(MkDate(1998, 9, 2))
-	cols := []string{"shipdate", "returnflag", "linestatus", "quantity", "extendedprice", "discount", "tax"}
+	cols := Resolve("lineitem", "shipdate", "returnflag", "linestatus", "quantity", "extendedprice", "discount", "tax")
 	type agg struct{ qty, price, disc, charge, count int64 }
 	var global [6]agg
-	e.ParTable("lineitem", func(t *machine.Thread, lo, hi int) {
+	e.ParTable(cols, func(t *machine.Thread, lo, hi int) {
 		var local [6]agg
 		var inter interBuf
-		e.ScanBlocks(t, "lineitem", cols, lo, hi, func(i int) {
+		e.ScanBlocks(t, cols, lo, hi, func(i int) {
 			l := &db.Lineitems[i]
 			if l.ShipDate > cutoff {
 				return
@@ -85,14 +85,15 @@ func (e *Engine) q1() int64 {
 // supply cost over partsupp x supplier x nation x region.
 func (e *Engine) q2() int64 {
 	db := e.DB
+	suppCols := Resolve("supplier", "suppkey", "nationkey")
 	const size, region = 15, 3 // EUROPE
 	wantSyl3 := 4              // TIN suffix match "%TIN"
-	partCols := []string{"partkey", "size", "type"}
+	partCols := Resolve("part", "partkey", "size", "type")
 	var table *hashtable.Table
 	e.Serial(func(t *machine.Thread) { table = hashtable.New(t, len(db.Parts)/16+16) })
 	e.Par(len(db.Parts), func(t *machine.Thread, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "part", partCols, i)
+			e.Scan(t, partCols, i)
 			p := &db.Parts[i]
 			if int(p.Size) == size && TypeSyl3(int(p.TypeID)) == wantSyl3 {
 				table.Put(t, uint64(p.PartKey), uint32(i))
@@ -100,16 +101,16 @@ func (e *Engine) q2() int64 {
 		}
 	})
 	minCost := map[uint64]int64{}
-	psCols := []string{"partkey", "suppkey", "supplycost"}
+	psCols := Resolve("partsupp", "partkey", "suppkey", "supplycost")
 	e.Par(len(db.PartSupps), func(t *machine.Thread, lo, hi int) {
 		local := map[uint64]int64{}
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "partsupp", psCols, i)
+			e.Scan(t, psCols, i)
 			ps := &db.PartSupps[i]
 			if _, ok := table.Get(t, uint64(ps.PartKey)); !ok {
 				continue
 			}
-			e.Scan(t, "supplier", []string{"suppkey", "nationkey"}, int(ps.SuppKey))
+			e.Scan(t, suppCols, int(ps.SuppKey))
 			s := &db.Suppliers[ps.SuppKey]
 			if NationRegion[s.NationKey] != region {
 				continue
@@ -136,12 +137,15 @@ func (e *Engine) q2() int64 {
 // Q3: shipping priority. BUILDING customers, unshipped orders, top revenue.
 func (e *Engine) q3() int64 {
 	db := e.DB
+	custCols := Resolve("customer", "custkey", "mktsegment")
+	ordCols := Resolve("orders", "orderkey", "custkey", "orderdate", "shippriority")
+	liCols := Resolve("lineitem", "orderkey", "shipdate", "extendedprice", "discount")
 	const segment = 1 // BUILDING
 	date := int32(MkDate(1995, 3, 15))
 	custOK := make([]bool, len(db.Customers))
 	e.Par(len(db.Customers), func(t *machine.Thread, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "customer", []string{"custkey", "mktsegment"}, i)
+			e.Scan(t, custCols, i)
 			custOK[i] = db.Customers[i].MktSegment == segment
 		}
 	})
@@ -149,7 +153,7 @@ func (e *Engine) q3() int64 {
 	e.Serial(func(t *machine.Thread) { orders = hashtable.New(t, len(db.Orders)/4+16) })
 	e.Par(len(db.Orders), func(t *machine.Thread, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "orders", []string{"orderkey", "custkey", "orderdate", "shippriority"}, i)
+			e.Scan(t, ordCols, i)
 			o := &db.Orders[i]
 			if o.OrderDate < date && custOK[o.CustKey] {
 				orders.Put(t, uint64(o.OrderKey), uint32(i))
@@ -160,7 +164,7 @@ func (e *Engine) q3() int64 {
 	e.Par(len(db.Lineitems), func(t *machine.Thread, lo, hi int) {
 		local := map[uint64]int64{}
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "lineitem", []string{"orderkey", "shipdate", "extendedprice", "discount"}, i)
+			e.Scan(t, liCols, i)
 			l := &db.Lineitems[i]
 			if l.ShipDate <= date {
 				continue
@@ -209,20 +213,22 @@ func topSum(m map[uint64]int64, n int) int64 {
 // lineitem, counted by priority.
 func (e *Engine) q4() int64 {
 	db := e.DB
+	ordCols := Resolve("orders", "orderkey", "orderdate", "orderpriority")
+	liCols := Resolve("lineitem", "orderkey", "commitdate", "receiptdate")
 	lo := int32(MkDate(1993, 7, 1))
 	hi := lo + 90
 	var counts [5]int64
 	e.Par(len(db.Orders), func(t *machine.Thread, olo, ohi int) {
 		var local [5]int64
 		for i := olo; i < ohi; i++ {
-			e.Scan(t, "orders", []string{"orderkey", "orderdate", "orderpriority"}, i)
+			e.Scan(t, ordCols, i)
 			o := &db.Orders[i]
 			if o.OrderDate < lo || o.OrderDate >= hi {
 				continue
 			}
 			start := int(db.OrderLineStart[i])
 			for j, l := range db.LineitemsOf(i) {
-				e.Scan(t, "lineitem", []string{"orderkey", "commitdate", "receiptdate"}, start+j)
+				e.Scan(t, liCols, start+j)
 				if l.CommitDate < l.ReceiptDate {
 					local[o.OrderPriority]++
 					break
@@ -245,6 +251,10 @@ func (e *Engine) q4() int64 {
 // share a nation, grouped by nation.
 func (e *Engine) q5() int64 {
 	db := e.DB
+	ordCols := Resolve("orders", "orderkey", "custkey", "orderdate")
+	custCols := Resolve("customer", "custkey", "nationkey")
+	liCols := Resolve("lineitem", "suppkey", "extendedprice", "discount")
+	suppCols := Resolve("supplier", "suppkey", "nationkey")
 	const region = 2 // ASIA
 	lo := int32(MkDate(1994, 1, 1))
 	hi := int32(MkDate(1995, 1, 1))
@@ -252,20 +262,20 @@ func (e *Engine) q5() int64 {
 	e.Par(len(db.Orders), func(t *machine.Thread, olo, ohi int) {
 		local := map[uint64]int64{}
 		for i := olo; i < ohi; i++ {
-			e.Scan(t, "orders", []string{"orderkey", "custkey", "orderdate"}, i)
+			e.Scan(t, ordCols, i)
 			o := &db.Orders[i]
 			if o.OrderDate < lo || o.OrderDate >= hi {
 				continue
 			}
-			e.Scan(t, "customer", []string{"custkey", "nationkey"}, int(o.CustKey))
+			e.Scan(t, custCols, int(o.CustKey))
 			cn := db.Customers[o.CustKey].NationKey
 			if NationRegion[cn] != region {
 				continue
 			}
 			start := int(db.OrderLineStart[i])
 			for j, l := range db.LineitemsOf(i) {
-				e.Scan(t, "lineitem", []string{"suppkey", "extendedprice", "discount"}, start+j)
-				e.Scan(t, "supplier", []string{"suppkey", "nationkey"}, int(l.SuppKey))
+				e.Scan(t, liCols, start+j)
+				e.Scan(t, suppCols, int(l.SuppKey))
 				if db.Suppliers[l.SuppKey].NationKey == cn {
 					local[uint64(cn)] += l.Revenue()
 				}
@@ -290,10 +300,10 @@ func (e *Engine) q6() int64 {
 	lo := int32(MkDate(1994, 1, 1))
 	hi := int32(MkDate(1995, 1, 1))
 	var revenue int64
-	cols := []string{"shipdate", "discount", "quantity", "extendedprice"}
-	e.ParTable("lineitem", func(t *machine.Thread, llo, lhi int) {
+	cols := Resolve("lineitem", "shipdate", "discount", "quantity", "extendedprice")
+	e.ParTable(cols, func(t *machine.Thread, llo, lhi int) {
 		var local int64
-		e.ScanBlocks(t, "lineitem", cols, llo, lhi, func(i int) {
+		e.ScanBlocks(t, cols, llo, lhi, func(i int) {
 			l := &db.Lineitems[i]
 			if l.ShipDate >= lo && l.ShipDate < hi && l.Discount >= 5 && l.Discount <= 7 && l.Quantity < 24 {
 				local += l.ExtendedPrice * int64(l.Discount)
@@ -309,27 +319,30 @@ func (e *Engine) q6() int64 {
 // year.
 func (e *Engine) q7() int64 {
 	db := e.DB
+	suppCols := Resolve("supplier", "suppkey", "nationkey")
+	ordCols := Resolve("orders", "orderkey", "custkey")
+	custCols := Resolve("customer", "custkey", "nationkey")
 	const fr, de = 6, 7
 	lo := int32(MkDate(1995, 1, 1))
 	hi := int32(MkDate(1996, 12, 31))
 	vol := map[uint64]int64{}
-	cols := []string{"orderkey", "suppkey", "shipdate", "extendedprice", "discount"}
+	cols := Resolve("lineitem", "orderkey", "suppkey", "shipdate", "extendedprice", "discount")
 	e.Par(len(db.Lineitems), func(t *machine.Thread, llo, lhi int) {
 		local := map[uint64]int64{}
 		for i := llo; i < lhi; i++ {
-			e.Scan(t, "lineitem", cols, i)
+			e.Scan(t, cols, i)
 			l := &db.Lineitems[i]
 			if l.ShipDate < lo || l.ShipDate > hi {
 				continue
 			}
-			e.Scan(t, "supplier", []string{"suppkey", "nationkey"}, int(l.SuppKey))
+			e.Scan(t, suppCols, int(l.SuppKey))
 			sn := db.Suppliers[l.SuppKey].NationKey
 			if sn != fr && sn != de {
 				continue
 			}
-			e.Scan(t, "orders", []string{"orderkey", "custkey"}, int(l.OrderKey))
+			e.Scan(t, ordCols, int(l.OrderKey))
 			o := &db.Orders[l.OrderKey]
-			e.Scan(t, "customer", []string{"custkey", "nationkey"}, int(o.CustKey))
+			e.Scan(t, custCols, int(o.CustKey))
 			cn := db.Customers[o.CustKey].NationKey
 			if (sn == fr && cn == de) || (sn == de && cn == fr) {
 				key := uint64(sn)<<32 | uint64(YearOf(int(l.ShipDate)))
@@ -351,6 +364,10 @@ func (e *Engine) q7() int64 {
 // Q8: national market share of BRAZIL for a part type in AMERICA, by year.
 func (e *Engine) q8() int64 {
 	db := e.DB
+	partCols := Resolve("part", "partkey", "type")
+	ordCols := Resolve("orders", "orderkey", "custkey", "orderdate")
+	custCols := Resolve("customer", "custkey", "nationkey")
+	suppCols := Resolve("supplier", "suppkey", "nationkey")
 	const region, brazil = 1, 2        // AMERICA, BRAZIL
 	wantType := int16(TypeOf(0, 0, 3)) // ECONOMY ANODIZED STEEL
 	lo := int32(MkDate(1995, 1, 1))
@@ -358,27 +375,27 @@ func (e *Engine) q8() int64 {
 	partOK := make([]bool, len(db.Parts))
 	e.Par(len(db.Parts), func(t *machine.Thread, plo, phi int) {
 		for i := plo; i < phi; i++ {
-			e.Scan(t, "part", []string{"partkey", "type"}, i)
+			e.Scan(t, partCols, i)
 			partOK[i] = db.Parts[i].TypeID == wantType
 		}
 	})
 	type share struct{ num, den int64 }
 	byYear := map[int]*share{}
-	cols := []string{"orderkey", "partkey", "suppkey", "extendedprice", "discount"}
+	cols := Resolve("lineitem", "orderkey", "partkey", "suppkey", "extendedprice", "discount")
 	e.Par(len(db.Lineitems), func(t *machine.Thread, llo, lhi int) {
 		local := map[int]*share{}
 		for i := llo; i < lhi; i++ {
-			e.Scan(t, "lineitem", cols, i)
+			e.Scan(t, cols, i)
 			l := &db.Lineitems[i]
 			if !partOK[l.PartKey] {
 				continue
 			}
-			e.Scan(t, "orders", []string{"orderkey", "custkey", "orderdate"}, int(l.OrderKey))
+			e.Scan(t, ordCols, int(l.OrderKey))
 			o := &db.Orders[l.OrderKey]
 			if o.OrderDate < lo || o.OrderDate > hi {
 				continue
 			}
-			e.Scan(t, "customer", []string{"custkey", "nationkey"}, int(o.CustKey))
+			e.Scan(t, custCols, int(o.CustKey))
 			if NationRegion[db.Customers[o.CustKey].NationKey] != region {
 				continue
 			}
@@ -389,7 +406,7 @@ func (e *Engine) q8() int64 {
 				local[y] = s
 			}
 			s.den += l.Revenue()
-			e.Scan(t, "supplier", []string{"suppkey", "nationkey"}, int(l.SuppKey))
+			e.Scan(t, suppCols, int(l.SuppKey))
 			if db.Suppliers[l.SuppKey].NationKey == brazil {
 				s.num += l.Revenue()
 			}
@@ -416,20 +433,24 @@ func (e *Engine) q8() int64 {
 // supplier nation and year.
 func (e *Engine) q9() int64 {
 	db := e.DB
+	partCols := Resolve("part", "partkey", "name")
+	psCols := Resolve("partsupp", "partkey", "suppkey", "supplycost")
+	suppCols := Resolve("supplier", "suppkey", "nationkey")
+	ordCols := Resolve("orders", "orderkey", "orderdate")
 	const green = 17 // color id
 	partOK := make([]bool, len(db.Parts))
 	e.Par(len(db.Parts), func(t *machine.Thread, plo, phi int) {
 		for i := plo; i < phi; i++ {
-			e.Scan(t, "part", []string{"partkey", "name"}, i)
+			e.Scan(t, partCols, i)
 			partOK[i] = db.Parts[i].HasColor(green)
 		}
 	})
 	profit := map[uint64]int64{}
-	cols := []string{"orderkey", "partkey", "suppkey", "quantity", "extendedprice", "discount"}
+	cols := Resolve("lineitem", "orderkey", "partkey", "suppkey", "quantity", "extendedprice", "discount")
 	e.Par(len(db.Lineitems), func(t *machine.Thread, llo, lhi int) {
 		local := map[uint64]int64{}
 		for i := llo; i < lhi; i++ {
-			e.Scan(t, "lineitem", cols, i)
+			e.Scan(t, cols, i)
 			l := &db.Lineitems[i]
 			if !partOK[l.PartKey] {
 				continue
@@ -439,14 +460,14 @@ func (e *Engine) q9() int64 {
 			var cost int64
 			base := int(l.PartKey) * suppsPerPart
 			for j := 0; j < suppsPerPart; j++ {
-				e.Scan(t, "partsupp", []string{"partkey", "suppkey", "supplycost"}, base+j)
+				e.Scan(t, psCols, base+j)
 				if db.PartSupps[base+j].SuppKey == l.SuppKey {
 					cost = db.PartSupps[base+j].SupplyCost
 					break
 				}
 			}
-			e.Scan(t, "supplier", []string{"suppkey", "nationkey"}, int(l.SuppKey))
-			e.Scan(t, "orders", []string{"orderkey", "orderdate"}, int(l.OrderKey))
+			e.Scan(t, suppCols, int(l.SuppKey))
+			e.Scan(t, ordCols, int(l.OrderKey))
 			nation := db.Suppliers[l.SuppKey].NationKey
 			year := YearOf(int(db.Orders[l.OrderKey].OrderDate))
 			amount := l.Revenue()/100 - cost*int64(l.Quantity)
@@ -468,20 +489,22 @@ func (e *Engine) q9() int64 {
 // in a quarter, top 20 customers.
 func (e *Engine) q10() int64 {
 	db := e.DB
+	ordCols := Resolve("orders", "orderkey", "custkey", "orderdate")
+	liCols := Resolve("lineitem", "orderkey", "returnflag", "extendedprice", "discount")
 	lo := int32(MkDate(1993, 10, 1))
 	hi := lo + 90
 	custRev := map[uint64]int64{}
 	e.Par(len(db.Orders), func(t *machine.Thread, olo, ohi int) {
 		local := map[uint64]int64{}
 		for i := olo; i < ohi; i++ {
-			e.Scan(t, "orders", []string{"orderkey", "custkey", "orderdate"}, i)
+			e.Scan(t, ordCols, i)
 			o := &db.Orders[i]
 			if o.OrderDate < lo || o.OrderDate >= hi {
 				continue
 			}
 			start := int(db.OrderLineStart[i])
 			for j, l := range db.LineitemsOf(i) {
-				e.Scan(t, "lineitem", []string{"orderkey", "returnflag", "extendedprice", "discount"}, start+j)
+				e.Scan(t, liCols, start+j)
 				if l.ReturnFlag == 2 { // R
 					local[uint64(o.CustKey)] += l.Revenue()
 				}
@@ -499,17 +522,18 @@ func (e *Engine) q10() int64 {
 // scale-adjusted fraction of the total.
 func (e *Engine) q11() int64 {
 	db := e.DB
+	suppCols := Resolve("supplier", "suppkey", "nationkey")
 	const germany = 7
 	value := map[uint64]int64{}
 	var total int64
-	cols := []string{"partkey", "suppkey", "availqty", "supplycost"}
+	cols := Resolve("partsupp", "partkey", "suppkey", "availqty", "supplycost")
 	e.Par(len(db.PartSupps), func(t *machine.Thread, lo, hi int) {
 		local := map[uint64]int64{}
 		var localTotal int64
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "partsupp", cols, i)
+			e.Scan(t, cols, i)
 			ps := &db.PartSupps[i]
-			e.Scan(t, "supplier", []string{"suppkey", "nationkey"}, int(ps.SuppKey))
+			e.Scan(t, suppCols, int(ps.SuppKey))
 			if db.Suppliers[ps.SuppKey].NationKey != germany {
 				continue
 			}

@@ -10,22 +10,23 @@ import (
 // 1994 that were committed late, split by priority class.
 func (e *Engine) q12() int64 {
 	db := e.DB
+	ordCols := Resolve("orders", "orderkey", "orderpriority")
 	const mail, ship = 2, 5
 	lo := int32(MkDate(1994, 1, 1))
 	hi := int32(MkDate(1995, 1, 1))
 	var highMail, lowMail, highShip, lowShip int64
-	cols := []string{"orderkey", "shipmode", "receiptdate", "commitdate", "shipdate"}
+	cols := Resolve("lineitem", "orderkey", "shipmode", "receiptdate", "commitdate", "shipdate")
 	e.Par(len(db.Lineitems), func(t *machine.Thread, llo, lhi int) {
 		var hm, lm, hs, ls int64
 		for i := llo; i < lhi; i++ {
-			e.Scan(t, "lineitem", cols, i)
+			e.Scan(t, cols, i)
 			l := &db.Lineitems[i]
 			if (l.ShipMode != mail && l.ShipMode != ship) ||
 				l.ReceiptDate < lo || l.ReceiptDate >= hi ||
 				l.CommitDate >= l.ReceiptDate || l.ShipDate >= l.CommitDate {
 				continue
 			}
-			e.Scan(t, "orders", []string{"orderkey", "orderpriority"}, int(l.OrderKey))
+			e.Scan(t, ordCols, int(l.OrderKey))
 			high := db.Orders[l.OrderKey].OrderPriority <= 1 // URGENT or HIGH
 			switch {
 			case l.ShipMode == mail && high:
@@ -51,11 +52,12 @@ func (e *Engine) q12() int64 {
 // comments.
 func (e *Engine) q13() int64 {
 	db := e.DB
+	ordCols := Resolve("orders", "orderkey", "custkey", "comment")
 	counts := make([]int32, len(db.Customers))
 	e.Par(len(db.Orders), func(t *machine.Thread, lo, hi int) {
 		local := map[uint64]int32{}
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "orders", []string{"orderkey", "custkey", "comment"}, i)
+			e.Scan(t, ordCols, i)
 			o := &db.Orders[i]
 			if o.SpecialFlag {
 				continue
@@ -82,19 +84,20 @@ func (e *Engine) q13() int64 {
 // Q14: promotion effect. Share of September-1995 revenue from PROMO parts.
 func (e *Engine) q14() int64 {
 	db := e.DB
+	partCols := Resolve("part", "partkey", "type")
 	lo := int32(MkDate(1995, 9, 1))
 	hi := lo + 30
 	var promo, total int64
-	cols := []string{"partkey", "shipdate", "extendedprice", "discount"}
+	cols := Resolve("lineitem", "partkey", "shipdate", "extendedprice", "discount")
 	e.Par(len(db.Lineitems), func(t *machine.Thread, llo, lhi int) {
 		var lp, lt int64
 		for i := llo; i < lhi; i++ {
-			e.Scan(t, "lineitem", cols, i)
+			e.Scan(t, cols, i)
 			l := &db.Lineitems[i]
 			if l.ShipDate < lo || l.ShipDate >= hi {
 				continue
 			}
-			e.Scan(t, "part", []string{"partkey", "type"}, int(l.PartKey))
+			e.Scan(t, partCols, int(l.PartKey))
 			lt += l.Revenue()
 			if TypeSyl1(int(db.Parts[l.PartKey].TypeID)) == 3 { // PROMO
 				lp += l.Revenue()
@@ -113,11 +116,11 @@ func (e *Engine) q15() int64 {
 	lo := int32(MkDate(1996, 1, 1))
 	hi := lo + 90
 	rev := map[uint64]int64{}
-	cols := []string{"suppkey", "shipdate", "extendedprice", "discount"}
+	cols := Resolve("lineitem", "suppkey", "shipdate", "extendedprice", "discount")
 	e.Par(len(db.Lineitems), func(t *machine.Thread, llo, lhi int) {
 		local := map[uint64]int64{}
 		for i := llo; i < lhi; i++ {
-			e.Scan(t, "lineitem", cols, i)
+			e.Scan(t, cols, i)
 			l := &db.Lineitems[i]
 			if l.ShipDate >= lo && l.ShipDate < hi {
 				local[uint64(l.SuppKey)] += l.Revenue()
@@ -148,6 +151,8 @@ func (e *Engine) q15() int64 {
 // suppliers.
 func (e *Engine) q16() int64 {
 	db := e.DB
+	partCols := Resolve("part", "partkey", "brand", "type", "size")
+	suppCols := Resolve("supplier", "suppkey", "comment")
 	const excludeBrand = 19 // Brand#45
 	sizes := map[int8]bool{49: true, 14: true, 23: true, 45: true, 19: true, 3: true, 36: true, 9: true}
 	type bucket struct {
@@ -157,13 +162,13 @@ func (e *Engine) q16() int64 {
 		supp  int32
 	}
 	distinct := map[bucket]bool{}
-	psCols := []string{"partkey", "suppkey"}
+	psCols := Resolve("partsupp", "partkey", "suppkey")
 	e.Par(len(db.PartSupps), func(t *machine.Thread, lo, hi int) {
 		local := map[bucket]bool{}
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "partsupp", psCols, i)
+			e.Scan(t, psCols, i)
 			ps := &db.PartSupps[i]
-			e.Scan(t, "part", []string{"partkey", "brand", "type", "size"}, int(ps.PartKey))
+			e.Scan(t, partCols, int(ps.PartKey))
 			p := &db.Parts[ps.PartKey]
 			if p.Brand == excludeBrand || !sizes[p.Size] {
 				continue
@@ -171,7 +176,7 @@ func (e *Engine) q16() int64 {
 			if TypeSyl1(int(p.TypeID)) == 2 && TypeSyl2of(int(p.TypeID)) == 0 { // MEDIUM POLISHED%
 				continue
 			}
-			e.Scan(t, "supplier", []string{"suppkey", "comment"}, int(ps.SuppKey))
+			e.Scan(t, suppCols, int(ps.SuppKey))
 			if db.Suppliers[ps.SuppKey].ComplaintFlag {
 				continue
 			}
@@ -194,12 +199,15 @@ func TypeSyl2of(typeID int) int {
 // average quantity, for one brand/container.
 func (e *Engine) q17() int64 {
 	db := e.DB
+	partCols := Resolve("part", "partkey", "brand", "container")
+	liCols := Resolve("lineitem", "partkey", "quantity")
+	liPriceCols := Resolve("lineitem", "partkey", "quantity", "extendedprice")
 	const brand = 7                      // Brand#23
 	container := int8(ContainerOf(2, 0)) // MED CASE (size MED, kind CASE)
 	partOK := make([]bool, len(db.Parts))
 	e.Par(len(db.Parts), func(t *machine.Thread, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "part", []string{"partkey", "brand", "container"}, i)
+			e.Scan(t, partCols, i)
 			p := &db.Parts[i]
 			partOK[i] = p.Brand == brand && p.Container == container
 		}
@@ -209,7 +217,7 @@ func (e *Engine) q17() int64 {
 	e.Par(len(db.Lineitems), func(t *machine.Thread, lo, hi int) {
 		local := map[uint64]*qa{}
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "lineitem", []string{"partkey", "quantity"}, i)
+			e.Scan(t, liCols, i)
 			l := &db.Lineitems[i]
 			if !partOK[l.PartKey] {
 				continue
@@ -237,7 +245,7 @@ func (e *Engine) q17() int64 {
 	e.Par(len(db.Lineitems), func(t *machine.Thread, lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "lineitem", []string{"partkey", "quantity", "extendedprice"}, i)
+			e.Scan(t, liPriceCols, i)
 			l := &db.Lineitems[i]
 			a := avg[uint64(l.PartKey)]
 			if a == nil || a.n == 0 {
@@ -258,6 +266,8 @@ func (e *Engine) q17() int64 {
 // units, top 100 by total price.
 func (e *Engine) q18() int64 {
 	db := e.DB
+	ordCols := Resolve("orders", "orderkey", "custkey", "orderdate", "totalprice")
+	liCols := Resolve("lineitem", "orderkey", "quantity")
 	type row struct {
 		order int32
 		price int64
@@ -267,11 +277,11 @@ func (e *Engine) q18() int64 {
 	e.Par(len(db.Orders), func(t *machine.Thread, lo, hi int) {
 		var local []row
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "orders", []string{"orderkey", "custkey", "orderdate", "totalprice"}, i)
+			e.Scan(t, ordCols, i)
 			start := int(db.OrderLineStart[i])
 			var qty int64
 			for j, l := range db.LineitemsOf(i) {
-				e.Scan(t, "lineitem", []string{"orderkey", "quantity"}, start+j)
+				e.Scan(t, liCols, start+j)
 				qty += int64(l.Quantity)
 			}
 			if qty > 300 {
@@ -301,18 +311,19 @@ func (e *Engine) q18() int64 {
 // predicate blocks.
 func (e *Engine) q19() int64 {
 	db := e.DB
+	partCols := Resolve("part", "partkey", "brand", "container", "size")
 	var sum int64
-	cols := []string{"partkey", "quantity", "shipmode", "shipinstruct", "extendedprice", "discount"}
+	cols := Resolve("lineitem", "partkey", "quantity", "shipmode", "shipinstruct", "extendedprice", "discount")
 	e.Par(len(db.Lineitems), func(t *machine.Thread, lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "lineitem", cols, i)
+			e.Scan(t, cols, i)
 			l := &db.Lineitems[i]
 			// shipmode in (AIR, REG AIR) and shipinstruct = DELIVER IN PERSON
 			if (l.ShipMode != 0 && l.ShipMode != 4) || l.ShipInstruct != 1 {
 				continue
 			}
-			e.Scan(t, "part", []string{"partkey", "brand", "container", "size"}, int(l.PartKey))
+			e.Scan(t, partCols, int(l.PartKey))
 			p := &db.Parts[l.PartKey]
 			kind := int(p.Container) % len(ContainerKind)
 			csize := int(p.Container) / len(ContainerKind)
@@ -343,6 +354,10 @@ func (e *Engine) q19() int64 {
 // forest-colored parts relative to 1994 shipments.
 func (e *Engine) q20() int64 {
 	db := e.DB
+	partCols := Resolve("part", "partkey", "name")
+	liCols := Resolve("lineitem", "partkey", "suppkey", "shipdate", "quantity")
+	psCols := Resolve("partsupp", "partkey", "suppkey", "availqty")
+	suppCols := Resolve("supplier", "suppkey", "nationkey")
 	const canada = 3
 	const forest = 23 // color id
 	lo := int32(MkDate(1994, 1, 1))
@@ -350,7 +365,7 @@ func (e *Engine) q20() int64 {
 	partOK := make([]bool, len(db.Parts))
 	e.Par(len(db.Parts), func(t *machine.Thread, plo, phi int) {
 		for i := plo; i < phi; i++ {
-			e.Scan(t, "part", []string{"partkey", "name"}, i)
+			e.Scan(t, partCols, i)
 			partOK[i] = db.Parts[i].HasColor(forest)
 		}
 	})
@@ -359,7 +374,7 @@ func (e *Engine) q20() int64 {
 	e.Par(len(db.Lineitems), func(t *machine.Thread, llo, lhi int) {
 		local := map[uint64]int64{}
 		for i := llo; i < lhi; i++ {
-			e.Scan(t, "lineitem", []string{"partkey", "suppkey", "shipdate", "quantity"}, i)
+			e.Scan(t, liCols, i)
 			l := &db.Lineitems[i]
 			if l.ShipDate < lo || l.ShipDate >= hi || !partOK[l.PartKey] {
 				continue
@@ -375,12 +390,12 @@ func (e *Engine) q20() int64 {
 	e.Par(len(db.PartSupps), func(t *machine.Thread, plo, phi int) {
 		local := map[int32]bool{}
 		for i := plo; i < phi; i++ {
-			e.Scan(t, "partsupp", []string{"partkey", "suppkey", "availqty"}, i)
+			e.Scan(t, psCols, i)
 			ps := &db.PartSupps[i]
 			if !partOK[ps.PartKey] {
 				continue
 			}
-			e.Scan(t, "supplier", []string{"suppkey", "nationkey"}, int(ps.SuppKey))
+			e.Scan(t, suppCols, int(ps.SuppKey))
 			if db.Suppliers[ps.SuppKey].NationKey != canada {
 				continue
 			}
@@ -405,19 +420,22 @@ func (e *Engine) q20() int64 {
 // lineitem was the only late one in a multi-supplier F order.
 func (e *Engine) q21() int64 {
 	db := e.DB
+	ordCols := Resolve("orders", "orderkey", "orderstatus")
+	liCols := Resolve("lineitem", "orderkey", "suppkey", "receiptdate", "commitdate")
+	suppCols := Resolve("supplier", "suppkey", "nationkey")
 	const saudi = 20
 	waits := map[int32]int64{}
 	e.Par(len(db.Orders), func(t *machine.Thread, olo, ohi int) {
 		local := map[int32]int64{}
 		for i := olo; i < ohi; i++ {
-			e.Scan(t, "orders", []string{"orderkey", "orderstatus"}, i)
+			e.Scan(t, ordCols, i)
 			if db.Orders[i].OrderStatus != 0 { // F
 				continue
 			}
 			start := int(db.OrderLineStart[i])
 			lines := db.LineitemsOf(i)
 			for j := range lines {
-				e.Scan(t, "lineitem", []string{"orderkey", "suppkey", "receiptdate", "commitdate"}, start+j)
+				e.Scan(t, liCols, start+j)
 			}
 			// For each late line by a Saudi supplier, require another
 			// supplier's line in the order and no other supplier late.
@@ -426,7 +444,7 @@ func (e *Engine) q21() int64 {
 				if l.ReceiptDate <= l.CommitDate {
 					continue
 				}
-				e.Scan(t, "supplier", []string{"suppkey", "nationkey"}, int(l.SuppKey))
+				e.Scan(t, suppCols, int(l.SuppKey))
 				if db.Suppliers[l.SuppKey].NationKey != saudi {
 					continue
 				}
@@ -462,13 +480,15 @@ func (e *Engine) q21() int64 {
 // above-average positive balances and no orders.
 func (e *Engine) q22() int64 {
 	db := e.DB
+	custCols := Resolve("customer", "custkey", "phone", "acctbal")
+	ordCols := Resolve("orders", "orderkey", "custkey")
 	codes := map[int32]bool{6: true, 7: true, 8: true, 9: true, 18: true, 22: true, 24: true}
 	// Average positive balance over customers in the code set.
 	var balSum, balN int64
 	e.Par(len(db.Customers), func(t *machine.Thread, lo, hi int) {
 		var s, n int64
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "customer", []string{"custkey", "phone", "acctbal"}, i)
+			e.Scan(t, custCols, i)
 			c := &db.Customers[i]
 			if codes[c.NationKey] && c.AcctBal > 0 {
 				s += c.AcctBal
@@ -482,7 +502,7 @@ func (e *Engine) q22() int64 {
 	hasOrder := make([]bool, len(db.Customers))
 	e.Par(len(db.Orders), func(t *machine.Thread, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "orders", []string{"orderkey", "custkey"}, i)
+			e.Scan(t, ordCols, i)
 			hasOrder[db.Orders[i].CustKey] = true
 		}
 	})
@@ -494,7 +514,7 @@ func (e *Engine) q22() int64 {
 	e.Par(len(db.Customers), func(t *machine.Thread, lo, hi int) {
 		var c, s int64
 		for i := lo; i < hi; i++ {
-			e.Scan(t, "customer", []string{"custkey", "phone", "acctbal"}, i)
+			e.Scan(t, custCols, i)
 			cust := &db.Customers[i]
 			if codes[cust.NationKey] && cust.AcctBal > avg && !hasOrder[i] {
 				c++

@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -339,7 +341,7 @@ func TestScanBlocksSingleModeIsScanLoop(t *testing.T) {
 	// default path.
 	db := testDB(t)
 	prof := ProfileByName("Quickstep")
-	cols := []string{"shipdate", "discount"}
+	cols := Resolve("lineitem", "shipdate", "discount")
 	n := len(db.Lineitems)
 
 	loop := newTestEngine(t, prof, db)
@@ -347,7 +349,7 @@ func TestScanBlocksSingleModeIsScanLoop(t *testing.T) {
 	rLoop := loop.M.Run(4, func(th *machine.Thread) {
 		lo, hi := n*th.ID()/4, n*(th.ID()+1)/4
 		for i := lo; i < hi; i++ {
-			loop.Scan(th, "lineitem", cols, i)
+			loop.Scan(th, cols, i)
 		}
 	})
 
@@ -355,7 +357,7 @@ func TestScanBlocksSingleModeIsScanLoop(t *testing.T) {
 	blocks.M.ResetCounters()
 	rBlocks := blocks.M.Run(4, func(th *machine.Thread) {
 		lo, hi := n*th.ID()/4, n*(th.ID()+1)/4
-		blocks.ScanBlocks(th, "lineitem", cols, lo, hi, func(int) {})
+		blocks.ScanBlocks(th, cols, lo, hi, func(int) {})
 	})
 
 	if rLoop.WallCycles != rBlocks.WallCycles {
@@ -365,5 +367,41 @@ func TestScanBlocksSingleModeIsScanLoop(t *testing.T) {
 	if rLoop.Counters != rBlocks.Counters {
 		t.Errorf("single-mode ScanBlocks counters diverge from Scan loop:\n%+v\nvs\n%+v",
 			rBlocks.Counters, rLoop.Counters)
+	}
+}
+
+func TestSchemaSortedByName(t *testing.T) {
+	// The schema's order is the load order, which fixes every simulated
+	// address: tables, and each table's columns, must be in strictly
+	// increasing name order.
+	for i, tbl := range schema {
+		if i > 0 && schema[i-1].name >= tbl.name {
+			t.Errorf("table %q listed after %q", tbl.name, schema[i-1].name)
+		}
+		for j := 1; j < len(tbl.cols); j++ {
+			if tbl.cols[j-1].name >= tbl.cols[j].name {
+				t.Errorf("%s: column %q listed after %q", tbl.name, tbl.cols[j].name, tbl.cols[j-1].name)
+			}
+		}
+	}
+}
+
+func TestResolveUnknownPanics(t *testing.T) {
+	for _, c := range []struct {
+		table string
+		cols  []string
+		want  string
+	}{
+		{"nation", []string{"nationkey"}, "nation"},
+		{"lineitem", []string{"shipdate", "comment"}, "lineitem.comment"},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("Resolve(%q, %q) panic = %q, want it to name %q", c.table, c.cols, msg, c.want)
+				}
+			}()
+			Resolve(c.table, c.cols...)
+		}()
 	}
 }
