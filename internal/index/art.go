@@ -37,9 +37,63 @@ type artNode struct {
 	key uint64
 	val uint64
 
-	// Inner payload: child byte -> node. We keep a single map Go-side for
-	// all kinds; the kind determines the simulated size and access cost.
-	children map[byte]*artNode
+	// Inner payload; nil on a leaf.
+	kids *artChildren
+}
+
+// artChildren holds an inner node's children in a Go-side layout that
+// follows its simulated kind. A Node4 or Node16 keeps its (key byte,
+// child) pairs in keys[:n] and small[:n], in insertion order, and is
+// searched linearly; grow moves the children of a node that becomes a
+// Node48 into wide, indexed by the key byte, where they stay as it
+// becomes a Node256.
+type artChildren struct {
+	n     int
+	keys  [16]byte
+	small [16]*artNode
+	wide  *[256]*artNode
+}
+
+// child returns the child under key byte b, or nil.
+func (n *artNode) child(b byte) *artNode {
+	c := n.kids
+	if c.wide != nil {
+		return c.wide[b]
+	}
+	for i, k := range c.keys[:c.n] {
+		if k == b {
+			return c.small[i]
+		}
+	}
+	return nil
+}
+
+// add stores child under key byte b, which n does not hold yet; grow
+// must have made room for it.
+func (n *artNode) add(b byte, child *artNode) {
+	c := n.kids
+	if c.wide != nil {
+		c.wide[b] = child
+	} else {
+		c.keys[c.n] = b
+		c.small[c.n] = child
+	}
+	c.n++
+}
+
+// replace stores child under key byte b in place of the child there.
+func (n *artNode) replace(b byte, child *artNode) {
+	c := n.kids
+	if c.wide != nil {
+		c.wide[b] = child
+		return
+	}
+	for i, k := range c.keys[:c.n] {
+		if k == b {
+			c.small[i] = child
+			return
+		}
+	}
 }
 
 // Simulated sizes per node kind, matching the C++ layouts.
@@ -91,18 +145,27 @@ func newArtLeaf(t *machine.Thread, key, val uint64) *artNode {
 }
 
 func newArtInner(t *machine.Thread) *artNode {
-	n := &artNode{kind: artNode4, size: artSize(artNode4), children: map[byte]*artNode{}}
+	n := &artNode{kind: artNode4, size: artSize(artNode4), kids: &artChildren{}}
 	n.addr = t.Malloc(n.size)
 	t.Write(n.addr, n.size)
 	return n
 }
 
-// grow upgrades a node to the next kind when its fanout exceeds the
-// current representation: allocate the bigger node, copy, free the old.
+// grow upgrades a node to the next kind when one more child would exceed
+// the current representation: allocate the bigger node, copy, free the
+// old. A node that becomes a Node48 moves its children into wide.
 func (n *artNode) grow(t *machine.Thread) {
-	want := kindFor(len(n.children))
+	c := n.kids
+	want := kindFor(c.n + 1)
 	if want <= n.kind {
 		return
+	}
+	if c.wide == nil && want >= artNode48 {
+		c.wide = new([256]*artNode)
+		for i, k := range c.keys[:c.n] {
+			c.wide[k] = c.small[i]
+		}
+		c.small = [16]*artNode{}
 	}
 	oldAddr, oldSize := n.addr, n.size
 	n.kind = want
@@ -140,28 +203,29 @@ func (a *art) Insert(t *machine.Thread, key, val uint64) {
 			d := depth
 			for d < 7 && ob[d] == kb[d] {
 				next := newArtInner(t)
-				top.children[ob[d]] = next
+				top.add(ob[d], next)
 				t.Write(top.addr, 16)
 				top = next
 				d++
 			}
-			top.children[ob[d]] = node
-			top.children[kb[d]] = newArtLeaf(t, key, val)
+			top.add(ob[d], node)
+			top.add(kb[d], newArtLeaf(t, key, val))
 			t.Write(top.addr, 16)
 			if parent == nil {
 				a.root = inner
 			} else {
-				parent.children[parentByte] = inner
+				parent.replace(parentByte, inner)
 				t.Write(parent.addr, 16)
 			}
 			a.n++
 			return
 		}
-		child, ok := node.children[kb[depth]]
+		child := node.child(kb[depth])
 		t.Charge(4) // child index lookup within the node
-		if !ok {
-			node.children[kb[depth]] = newArtLeaf(t, key, val)
+		if child == nil {
+			leaf := newArtLeaf(t, key, val)
 			node.grow(t)
+			node.add(kb[depth], leaf)
 			t.Write(node.addr, 16)
 			a.n++
 			return
@@ -198,7 +262,7 @@ func (a *art) Lookup(t *machine.Thread, key uint64) (uint64, bool) {
 			return 0, false
 		}
 		t.Charge(4)
-		node = node.children[kb[depth]]
+		node = node.child(kb[depth])
 	}
 	return 0, false
 }

@@ -2,7 +2,9 @@ package jsonl_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/experiments"
@@ -14,7 +16,9 @@ import (
 // schema. No input may panic, and every accepted input, written back and
 // read again, must give equal values. Values are compared through their
 // encoding, which is the schema's notion of equality: an empty map and
-// an omitted one are the same value.
+// an omitted one are the same value. Accepted spans are also written by
+// encoding/json, the reference the span writer's own encoder must match
+// byte for byte.
 func FuzzRead(f *testing.F) {
 	var seed bytes.Buffer
 	if err := experiments.WriteJSONL(&seed, []experiments.Record{{
@@ -31,6 +35,13 @@ func FuzzRead(f *testing.F) {
 	if err := span.WriteJSONL(&seed, []span.Span{{
 		ID: 1, Kind: span.KindService, Name: "point", Start: 1, End: 2,
 		Buckets: map[string]float64{"compute": 1},
+	}, {
+		Cell: "a<b>&c\u2028\x01\x7f", ID: math.MaxUint64, Parent: 7, Kind: span.KindPhase,
+		Name: "p\"\\\t\u2029\u00e9", Seq: -1, Thread: -1, Start: -1e-7, End: 1e21,
+		GStart: 5e-324, GEnd: math.MaxFloat64,
+		Buckets:  map[string]float64{"z": 0.1, "a": math.Copysign(0, -1), "m<": 123456789.5},
+		Events:   map[string]uint64{"page_migration/os": 3, "huge_split/\u2028": 1},
+		Counters: map[string]uint64{"tlb_misses": math.MaxUint64, "cache_misses": 2},
 	}}); err != nil {
 		f.Fatal(err)
 	}
@@ -46,7 +57,34 @@ func FuzzRead(f *testing.F) {
 		roundTrip(t, data, experiments.ReadJSONL, experiments.WriteJSONL)
 		roundTrip(t, data, tune.ReadJSONL, tune.WriteJSONL)
 		roundTrip(t, data, span.ReadJSONL, span.WriteJSONL)
+		spansMatchEncodingJSON(t, data)
 	})
+}
+
+// spansMatchEncodingJSON checks that span.WriteJSONL writes the spans of
+// every accepted input exactly as a json.Encoder does, schema stamping
+// included.
+func spansMatchEncodingJSON(t *testing.T, data []byte) {
+	spans, err := span.ReadJSONL(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	var got, want bytes.Buffer
+	if err := span.WriteJSONL(&got, spans); err != nil {
+		t.Fatalf("writing accepted spans: %v", err)
+	}
+	enc := json.NewEncoder(&want)
+	for _, s := range spans {
+		if s.Schema == "" {
+			s.Schema = span.Schema
+		}
+		if err := enc.Encode(&s); err != nil {
+			t.Fatalf("encoding/json rejects accepted spans: %v", err)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("span writer differs from encoding/json:\n got %s\nwant %s", got.Bytes(), want.Bytes())
+	}
 }
 
 // roundTrip checks one schema's reader and writer on data.

@@ -5,6 +5,9 @@
 // object of the value's fields, has data after its object, carries a
 // schema the format does not accept, or fails the format's check, and
 // names that line — so a write/read round trip validates an artifact.
+// The writer encodes with encoding/json, or with an encoder of the
+// format's own that writes the same bytes without reflection (spans, the
+// largest artifact, have one).
 package jsonl
 
 import (
@@ -23,17 +26,40 @@ const maxLine = 1 << 24
 // Format is one artifact layout over values of type T. Build it once with
 // NewFormat; Read and Write are its strict reader and its writer.
 type Format[T any] struct {
-	schema string
-	older  []string
-	field  func(*T) *string
-	check  func(*T) error
+	schema  string
+	older   []string
+	field   func(*T) *string
+	check   func(*T) error
+	encoder func() Encoder[T]
 }
+
+// An Encoder appends one value's JSON object, without a newline, to dst.
+// Write asks for one encoder per call, so an encoder may keep scratch
+// state from one value to the next.
+type Encoder[T any] func(dst []byte, v *T) ([]byte, error)
 
 // NewFormat describes the layout named schema. field returns a value's
 // schema field; check validates a decoded value once its schema is
 // accepted. older lists earlier layout names the reader still accepts.
+// Values are written with encoding/json unless WithEncoder says otherwise.
 func NewFormat[T any](schema string, field func(*T) *string, check func(*T) error, older ...string) Format[T] {
-	return Format[T]{schema: schema, older: older, field: field, check: check}
+	return Format[T]{schema: schema, older: older, field: field, check: check, encoder: marshal[T]}
+}
+
+// WithEncoder returns f writing each value with an encoder from newEncoder
+// instead of encoding/json. The encoder must write exactly the bytes
+// encoding/json would, so the choice never shows in an artifact.
+func (f Format[T]) WithEncoder(newEncoder func() Encoder[T]) Format[T] {
+	f.encoder = newEncoder
+	return f
+}
+
+// marshal is the default encoder: encoding/json's.
+func marshal[T any]() Encoder[T] {
+	return func(dst []byte, v *T) ([]byte, error) {
+		b, err := json.Marshal(v)
+		return append(dst, b...), err
+	}
 }
 
 // Write encodes vs to w, one object per line in input order. A value with
@@ -41,14 +67,19 @@ func NewFormat[T any](schema string, field func(*T) *string, check func(*T) erro
 // not modified.
 func (f Format[T]) Write(w io.Writer, vs []T) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	var v T // one scratch copy for stamping, reused for every value
+	enc := f.encoder()
+	var v T         // one scratch copy for stamping, reused for every value
+	var line []byte // one line buffer, reused for every value
 	for i := range vs {
 		v = vs[i]
 		if s := f.field(&v); *s == "" {
 			*s = f.schema
 		}
-		if err := enc.Encode(&v); err != nil {
+		var err error
+		if line, err = enc(line[:0], &v); err != nil {
+			return err
+		}
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}

@@ -13,7 +13,10 @@
 // The JSONL serialization is schema "repro/spans/v1", read and written by
 // the strict codec every artifact shares (internal/jsonl): unknown fields,
 // data after a line's object, wrong schemas and structurally invalid spans
-// are rejected, so a write/read round-trip validates the schema.
+// are rejected, so a write/read round-trip validates the schema. Spans are
+// the largest artifact, so the codec writes them with this package's own
+// encoder (encode.go), which appends each span without reflection and
+// writes exactly the bytes encoding/json would.
 package span
 
 import (
@@ -87,11 +90,13 @@ type Span struct {
 func (s Span) Duration() float64 { return s.End - s.Start }
 
 // codec reads and writes the repro/spans/v1 layout.
-var codec = jsonl.NewFormat(Schema, func(s *Span) *string { return &s.Schema }, checkSpan)
+var codec = jsonl.NewFormat(Schema, func(s *Span) *string { return &s.Schema }, checkSpan).
+	WithEncoder(newEncoder)
 
 // WriteJSONL writes one JSON object per span, newline-delimited. Missing
 // Schema fields are stamped. Output order is input order; spans from a
-// fixed seed serialize byte-identically.
+// fixed seed serialize byte-identically. A NaN or infinite float, which
+// JSON cannot carry, is an error.
 func WriteJSONL(w io.Writer, spans []Span) error { return codec.Write(w, spans) }
 
 // ReadJSONL parses newline-delimited spans, rejecting unknown fields,

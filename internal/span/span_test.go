@@ -2,6 +2,7 @@ package span
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -57,7 +58,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestWriteDeterministic pins byte-identity: serializing the same spans
-// twice must produce the same bytes (map keys are sorted by encoding/json).
+// twice must produce the same bytes (the encoder sorts map keys).
 func TestWriteDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	if err := WriteJSONL(&a, sampleSpans()); err != nil {
@@ -68,6 +69,80 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two serializations of the same spans differ")
+	}
+}
+
+// TestWriteMatchesEncodingJSON holds the span writer's own encoder to
+// encoding/json, byte for byte, on values no JSON input can carry (NaN,
+// ±Inf, invalid UTF-8) and on the edges of its number and string
+// formats. Where want is set, the line must also contain it.
+func TestWriteMatchesEncodingJSON(t *testing.T) {
+	base := func() Span {
+		return Span{ID: 1, Kind: KindService, Name: "point", Start: 1, End: 2,
+			Buckets: map[string]float64{"compute": 1}, Events: map[string]uint64{"page_migration/os": 1},
+			Counters: map[string]uint64{"cache_misses": 1}}
+	}
+	odd := []struct{ name, s string }{
+		{"invalid UTF-8", "a\xffb\xc3"},
+		{"control bytes", "\x00\x01\x1f\b\f\n\r\t\x7f"},
+		{"HTML", "<a href=x>&amp;</a>"},
+		{"U+2028/2029", "line\u2028para\u2029\u00e9"},
+		{"quotes", `"\`},
+	}
+	type tc struct {
+		name    string
+		edit    func(*Span)
+		want    string
+		wantErr bool
+	}
+	cases := []tc{
+		{name: "NaN start", edit: func(s *Span) { s.Start = math.NaN() }, wantErr: true},
+		{name: "+Inf end", edit: func(s *Span) { s.End = math.Inf(1) }, wantErr: true},
+		{name: "-Inf g_end", edit: func(s *Span) { s.GEnd = math.Inf(-1) }, wantErr: true},
+		{name: "NaN bucket", edit: func(s *Span) { s.Buckets["compute"] = math.NaN() }, wantErr: true},
+		{name: "-0 start", edit: func(s *Span) { s.Start = math.Copysign(0, -1) }, want: `"start":-0,`},
+		{name: "-0 g_start", edit: func(s *Span) { s.GStart = math.Copysign(0, -1) }},
+		{name: "empty maps", edit: func(s *Span) {
+			s.Buckets, s.Events, s.Counters = map[string]float64{}, map[string]uint64{}, map[string]uint64{}
+		}},
+	}
+	for _, f := range []struct {
+		x    float64
+		want string
+	}{
+		{9.99e-7, "9.99e-7"}, {1e-6, "0.000001"}, {1e20, "100000000000000000000"},
+		{1e21, "1e+21"}, {5e-324, "5e-324"}, {math.MaxFloat64, "1.7976931348623157e+308"},
+	} {
+		cases = append(cases,
+			tc{name: "start " + f.want, edit: func(s *Span) { s.Start, s.End = -f.x, f.x }, want: `"start":-` + f.want},
+			tc{name: "bucket " + f.want, edit: func(s *Span) { s.Buckets["compute"] = f.x }, want: `"compute":` + f.want + "}"})
+	}
+	for _, o := range odd {
+		cases = append(cases,
+			tc{name: "cell " + o.name, edit: func(s *Span) { s.Cell = o.s }},
+			tc{name: "name " + o.name, edit: func(s *Span) { s.Name = o.s }},
+			tc{name: "keys " + o.name, edit: func(s *Span) {
+				s.Buckets[o.s] = 2
+				s.Events[o.s] = 2
+				s.Counters[o.s] = 2
+			}})
+	}
+	for _, c := range cases {
+		s := base()
+		c.edit(&s)
+		var got, want bytes.Buffer
+		err := WriteJSONL(&got, []Span{s})
+		ref := s
+		ref.Schema = Schema
+		refErr := json.NewEncoder(&want).Encode(&ref)
+		switch {
+		case c.wantErr != (err != nil) || c.wantErr != (refErr != nil):
+			t.Errorf("%s: error %v, encoding/json's %v, want an error: %v", c.name, err, refErr, c.wantErr)
+		case !bytes.Equal(got.Bytes(), want.Bytes()):
+			t.Errorf("%s: differs from encoding/json:\n got %s\nwant %s", c.name, got.Bytes(), want.Bytes())
+		case !strings.Contains(got.String(), c.want):
+			t.Errorf("%s: %s does not contain %s", c.name, got.Bytes(), c.want)
+		}
 	}
 }
 
